@@ -36,13 +36,12 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use nettrace::pcap::{PcapReader, PcapWriter};
-use nettrace::synth::{SyntheticTrace, TraceProfile};
-use nettrace::{Limited, Packet, PacketSource};
+use nettrace::synth::TraceProfile;
+use nettrace::{Limited, PacketSource};
 use npobs::timeline::{Timeline, TimelineSpec, TIMELINE_SCHEMA_VERSION};
 use npobs::{Stamp, StatusLine};
 use npring::RateSpec;
 use npstream::SourceSpec;
-use packetbench::analysis::StreamAggregate;
 use packetbench::apps::{App, AppId};
 use packetbench::engine::Engine;
 use packetbench::framework::{Detail, MemoMode};
@@ -205,7 +204,9 @@ USAGE:
   pb anonymize <in.pcap> <out.pcap> [--seed <n>]
 
 `pb run --threads 0` (the default) uses all available cores; statistics
-are bit-identical at every thread count.
+are bit-identical at every thread count. `pb run` streams its source
+like `pb stream` below (one thread runs inline, one chunk resident), so
+memory stays flat at any -n.
 
 `pb stream` processes a source in bounded memory: packets flow through
 fixed-capacity chunk queues (reader -> shard workers -> merger) and are
@@ -475,49 +476,64 @@ fn cmd_disasm(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `pb run` is a front end to the streaming driver: `--pcap` or
+/// `--trace`/`--seed` name the source, `-n` caps it, and packets are
+/// folded as they are read, so no trace or per-packet record is held.
 fn cmd_run(args: &Args) -> Result<(), CliError> {
     let id = app_from(args)?;
-    let n: usize = args.parse_opt("n", 1000)?;
+    let n: u64 = args.parse_opt("n", 1000)?;
     let seed: u64 = args.parse_opt("seed", 42)?;
+    let threads: usize = args.parse_opt("threads", 0)?;
+    let (spec, label) = match args.options.get("pcap") {
+        Some(path) => (SourceSpec::Pcap(path.into()), format!("pcap:{path}")),
+        None => {
+            let name = args
+                .options
+                .get("trace")
+                .map(String::as_str)
+                .unwrap_or("MRA");
+            let spec = SourceSpec::Synth {
+                profile: trace_profile(name)?,
+                seed,
+                packets: None,
+            };
+            (spec, name.to_string())
+        }
+    };
+    let config = StreamConfig {
+        threads,
+        ..StreamConfig::default()
+    };
+    stream_and_report(args, id, &spec, Some(n), config, &label)
+}
+
+/// Streams `spec` (capped at `limit` packets) through `id` and reports:
+/// the deterministic aggregate on stdout — the same bytes from `pb run`,
+/// `pb stream` and `pb live` — and timing, worker and memo telemetry on
+/// stderr. `label` names the source in errors and timeline documents.
+fn stream_and_report(
+    args: &Args,
+    id: AppId,
+    spec: &SourceSpec,
+    limit: Option<u64>,
+    config: StreamConfig,
+    label: &str,
+) -> Result<(), CliError> {
     let verify = args.flag("verify");
     let uarch = args.flag("uarch");
-    let threads: usize = args.parse_opt("threads", 0)?;
-
-    // Packet source: pcap file or synthetic profile.
-    let packets: Vec<Packet> = if let Some(path) = args.options.get("pcap") {
-        let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
-        PcapReader::new(BufReader::new(file))
-            .map_err(|e| e.to_string())?
-            .take(n)
-            .collect::<Result<_, _>>()
-            .map_err(|e| e.to_string())?
-    } else {
-        let profile_name = args
-            .options
-            .get("trace")
-            .map(String::as_str)
-            .unwrap_or("MRA");
-        let profile = trace_profile(profile_name)?;
-        SyntheticTrace::new(profile, seed).take_packets(n)
-    };
-
-    let config = WorkloadConfig::default();
     let detail = Detail {
         uarch,
         ..Detail::counts()
     };
     let memo = memo_from(args)?;
     let tl = timeline_opts(args)?;
-    let trace_label = match args.options.get("pcap") {
-        Some(path) => format!("pcap:{path}"),
-        None => args
-            .options
-            .get("trace")
-            .cloned()
-            .unwrap_or_else(|| "MRA".to_string()),
+    let source = spec.open().map_err(|e| format!("{label}: {e}"))?;
+    let source: Box<dyn PacketSource + Send> = match limit {
+        Some(n) => Box::new(Limited::new(source, n)),
+        None => source,
     };
     let status = Arc::new(StatusLine::default());
-    let engine = Engine::with_config(id, config)
+    let engine = Engine::with_config(id, WorkloadConfig::default())
         .verify(verify)
         .progress(args.flag("progress"))
         .watch(args.flag("watch"))
@@ -525,31 +541,35 @@ fn cmd_run(args: &Args) -> Result<(), CliError> {
         .timeline(tl.spec)
         .memo(memo);
     let run = engine
-        .run(&packets, detail, threads)
+        .run_streaming(source, detail, config)
         .map_err(|e| e.to_string())?;
 
-    // The deterministic aggregate report goes to stdout (shared with
-    // `pb stream` so the two are byte-comparable); timing and worker
-    // telemetry go to stderr.
-    let mut aggregate = StreamAggregate::new();
-    for record in &run.records {
-        aggregate.add_record(record);
-    }
     print!(
         "{}",
-        report::render_aggregate_report(id, &aggregate, uarch, verify)
+        report::render_aggregate_report(id, &run.aggregate, uarch, verify)
     );
     eprintln!(
-        "threads:                {} ({:.1} ms wall, {:.0} packets/sec)",
+        "threads:                {} ({:.1} ms wall, {:.0} packets/sec, \
+         chunk size {}, {} chunks, window {})",
         run.threads,
         run.elapsed.as_secs_f64() * 1e3,
-        run.packets_per_sec()
+        run.packets_per_sec(),
+        run.chunk_size,
+        run.chunks,
+        run.max_inflight
     );
     if run.threads > 1 {
         eprint!("{}", report::render_worker_table(&run.workers));
     }
+    // Peak RSS is the streaming driver's headline claim (bounded
+    // memory); "unavailable" is an honest answer on platforms without
+    // /proc/self/status, zero would be a lie.
+    match run.peak_rss_kb {
+        Some(kb) => eprintln!("peak rss:               {kb} kB"),
+        None => eprintln!("peak rss:               unavailable on this platform"),
+    }
     report_memo(memo, &run.workers, &status);
-    write_timeline_outputs(&tl, run.timeline.as_ref(), id, &trace_label)?;
+    write_timeline_outputs(&tl, run.timeline.as_ref(), id, label)?;
     Ok(())
 }
 
@@ -560,8 +580,6 @@ fn cmd_stream(args: &Args) -> Result<(), CliError> {
     let Some(id) = AppId::by_name(app_name) else {
         return usage_err(format!("unknown application `{app_name}`"));
     };
-    let verify = args.flag("verify");
-    let uarch = args.flag("uarch");
 
     // For streaming, 0 is never a meaningful value the user can ask for:
     // absent options mean "auto", explicit zeros are mistakes.
@@ -588,65 +606,12 @@ fn cmd_stream(args: &Args) -> Result<(), CliError> {
             "source `{source_arg}` is unbounded: add `:packets=<n>` or `-n <packets>`"
         ));
     }
-    let source = spec.open().map_err(|e| e.to_string())?;
-    let source: Box<dyn PacketSource + Send> = match limit {
-        Some(n) => Box::new(Limited::new(source, n)),
-        None => source,
+    let config = StreamConfig {
+        threads,
+        chunk_size,
+        max_inflight,
     };
-
-    let detail = Detail {
-        uarch,
-        ..Detail::counts()
-    };
-    let memo = memo_from(args)?;
-    let tl = timeline_opts(args)?;
-    let status = Arc::new(StatusLine::default());
-    let engine = Engine::with_config(id, WorkloadConfig::default())
-        .verify(verify)
-        .progress(args.flag("progress"))
-        .watch(args.flag("watch"))
-        .status(Arc::clone(&status))
-        .timeline(tl.spec)
-        .memo(memo);
-    let run = engine
-        .run_streaming(
-            source,
-            detail,
-            StreamConfig {
-                threads,
-                chunk_size,
-                max_inflight,
-            },
-        )
-        .map_err(|e| e.to_string())?;
-
-    print!(
-        "{}",
-        report::render_aggregate_report(id, &run.aggregate, uarch, verify)
-    );
-    eprintln!(
-        "threads:                {} ({:.1} ms wall, {:.0} packets/sec, \
-         chunk size {}, {} chunks, window {})",
-        run.threads,
-        run.elapsed.as_secs_f64() * 1e3,
-        run.packets_per_sec(),
-        run.chunk_size,
-        run.chunks,
-        run.max_inflight
-    );
-    if run.threads > 1 {
-        eprint!("{}", report::render_worker_table(&run.workers));
-    }
-    // Peak RSS is the streaming pipeline's headline claim (bounded
-    // memory); "unavailable" is an honest answer on platforms without
-    // /proc/self/status, zero would be a lie.
-    match run.peak_rss_kb {
-        Some(kb) => eprintln!("peak rss:               {kb} kB"),
-        None => eprintln!("peak rss:               unavailable on this platform"),
-    }
-    report_memo(memo, &run.workers, &status);
-    write_timeline_outputs(&tl, run.timeline.as_ref(), id, source_arg)?;
-    Ok(())
+    stream_and_report(args, id, &spec, limit, config, source_arg)
 }
 
 fn cmd_live(args: &Args) -> Result<(), CliError> {

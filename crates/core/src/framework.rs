@@ -150,6 +150,19 @@ impl MemoEntry {
         }
     }
 
+    /// Rewrites this entry from `record` without allocating: how a miss
+    /// refreshes or displaces an occupied cache slot.
+    fn overwrite_from(&mut self, record: &PacketRecord) {
+        let stats = &record.stats;
+        self.instret = stats.instret;
+        self.op_mix = stats.op_mix;
+        self.executed.copy_from(&stats.executed);
+        self.mem = stats.mem;
+        self.halt = stats.halt;
+        self.verdict = record.verdict;
+        self.return_value = record.return_value;
+    }
+
     /// Replays this entry into `record` without allocating.
     fn apply(&self, record: &mut PacketRecord) {
         let stats = &mut record.stats;
@@ -446,23 +459,23 @@ impl PacketBench {
             ..
         } = layer;
         match mode {
-            MemoMode::On => {
-                cache.insert(key_buf, MemoEntry::from_record(record));
-                Ok(())
-            }
+            MemoMode::On => {}
             MemoMode::Check => {
                 if let Some(entry) = cache.lookup(key_buf) {
-                    if let Some(what) = entry.divergence_from(record) {
-                        return Err(BenchError::MemoMismatch { what });
-                    }
-                    Ok(())
-                } else {
-                    cache.insert(key_buf, MemoEntry::from_record(record));
-                    Ok(())
+                    return match entry.divergence_from(record) {
+                        Some(what) => Err(BenchError::MemoMismatch { what }),
+                        None => Ok(()),
+                    };
                 }
             }
-            MemoMode::Off => Ok(()),
+            MemoMode::Off => return Ok(()),
         }
+        cache.insert_with(
+            key_buf,
+            || MemoEntry::from_record(record),
+            |entry| entry.overwrite_from(record),
+        );
+        Ok(())
     }
 
     /// The application under test.
@@ -722,8 +735,7 @@ impl PacketBench {
         packet: &Packet,
         record: &PacketRecord,
     ) -> Result<(), BenchError> {
-        let l3 = packet.l3().to_vec();
-        self.app.verify(&l3, record, &self.mem)
+        self.app.verify(packet.l3(), record, &self.mem)
     }
 
     /// Runs `packets` through the application, calling `visit` with each

@@ -550,6 +550,9 @@ impl Engine {
             .map(|spec| LaneTelemetry::new(spec, worker, run_start));
         let mut probe = LaneProbe::default();
         let mut last_memo = MemoCounters::default();
+        // One scratch record for the lane's whole run: every packet
+        // overwrites it, so the executed set is allocated once.
+        let mut record = PacketRecord::empty();
         let worker_start = Instant::now();
         let record_failure = |index: u64, error: BenchError| {
             let mut slot = failure.lock().unwrap();
@@ -614,7 +617,6 @@ impl Engine {
                 for i in 0..n {
                     let view = consumer.packet(i);
                     let index = view.index();
-                    let mut record = PacketRecord::empty();
                     let run = bench
                         .process_packet_at(index, &view, detail, &mut record)
                         .and_then(|()| {

@@ -1,4 +1,5 @@
-//! Bounded-memory streaming execution: [`Engine::run_streaming`].
+//! Bounded-memory streaming execution: [`Engine::run_streaming`], the
+//! driver behind both `pb run` and `pb stream`.
 //!
 //! `Engine::run` materializes the whole trace before any packet executes,
 //! so peak memory grows linearly with trace length. This module feeds the
@@ -7,14 +8,29 @@
 //! configuration alone:
 //!
 //! ```text
-//! peak buffered packets <= (threads + max_inflight) * chunk_size
+//! peak buffered packets <= (threads + max_inflight) * chunk_size   (threads > 1)
+//! peak buffered packets <= chunk_size                              (threads = 1)
 //! ```
 //!
 //! (each worker buffers at most one chunk of partially-filled shard
 //! buffer on the reader side, plus at most `max_inflight` dispatched
 //! chunks anywhere between reader flush and merger fold).
 //!
-//! ## Pipeline
+//! ## One thread: run to completion
+//!
+//! With `threads = 1` there is nothing to overlap, so the reader, the
+//! worker and the merger run inline on the calling thread, as
+//! [`Engine::run`]'s serial path does: fill one reused [`Chunk`] of
+//! `chunk_size` packets from the source, process it through the same
+//! per-chunk body the pipeline workers use, merge its aggregate, repeat.
+//! No thread, semaphore or queue is created, and each packet is freed on
+//! the thread that allocated it. Chunking, chunk ids, the logical
+//! timeline, the wall-clock lanes (reader `threads`, worker 0, merger
+//! `threads + 1`) and error precedence are the pipeline's: a source error
+//! abandons the partly filled chunk unprocessed, exactly as the threaded
+//! reader drops its partial shard buffers.
+//!
+//! ## Pipeline (threads > 1)
 //!
 //! * A **reader** thread pulls packets from the source, assigns each its
 //!   global trace index, and shards it with the exact rule batch runs use
@@ -42,7 +58,9 @@
 //! and [`StreamAggregate`] folds are exact integer sums plus an exact
 //! histogram — associative and commutative — so the merged aggregate
 //! equals the serial trace-order fold at **any** thread count and chunk
-//! size. `pb stream` therefore prints byte-identical reports to `pb run`.
+//! size. `pb stream` therefore prints the same report bytes at every
+//! `--threads` and `--chunk-size`, and `pb run` is a front end to this
+//! same driver.
 //!
 //! ## Why it cannot deadlock
 //!
@@ -67,6 +85,7 @@ use std::time::{Duration, Instant};
 
 use nettrace::{Packet, PacketSource};
 use npobs::timeline::{Sample, Stage, Timeline};
+use npobs::StatusLine;
 use npstream::{BoundedQueue, Chunk, Semaphore, ShardBuffers};
 
 use crate::analysis::StreamAggregate;
@@ -181,21 +200,34 @@ enum ChunkOutcome {
 
 /// The telemetry context a worker hands [`Engine::stream_chunk`] for the
 /// duration of one chunk: the lane being sampled, the cumulative probe,
-/// the worker's input queue (its depth is the lane's backlog), and the
-/// busy-time baseline so mid-chunk samples report honest busy time.
+/// the worker's input queue (its depth is the lane's backlog; the inline
+/// driver has none), and the busy-time baseline so mid-chunk samples
+/// report honest busy time.
 struct ChunkTelemetry<'a> {
     lane: &'a mut LaneTelemetry,
     probe: &'a mut LaneProbe,
-    input: &'a BoundedQueue<(u64, Chunk<Packet>)>,
+    input: Option<&'a BoundedQueue<(u64, Chunk<Packet>)>>,
     busy_base_ns: u64,
     busy_start: Instant,
+}
+
+/// What a driver hands back to [`Engine::run_streaming`]: the merged
+/// aggregate, chunks folded, per-worker metrics (`idle_ns` still unset),
+/// and every telemetry lane it kept.
+struct Folded {
+    aggregate: StreamAggregate,
+    chunks: u64,
+    workers: Vec<WorkerMetrics>,
+    lanes: Vec<LaneTelemetry>,
 }
 
 impl Engine {
     /// Streams `source` through the sharded workers with bounded memory
     /// and returns the online aggregate. The aggregate is bit-identical
     /// to what a batch [`Engine::run`] over the same packets produces, at
-    /// any thread count and chunk size.
+    /// any thread count and chunk size. One thread runs inline on the
+    /// calling thread; more run the reader/worker/merger pipeline (see
+    /// the module docs).
     ///
     /// # Errors
     ///
@@ -212,7 +244,176 @@ impl Engine {
     {
         let (threads, chunk_size, max_inflight) = config.resolve();
         let start = Instant::now();
+        let Folded {
+            aggregate,
+            chunks,
+            mut workers,
+            lanes,
+        } = if threads == 1 {
+            self.stream_inline(source, detail, chunk_size, start)?
+        } else {
+            self.stream_pipelined(source, detail, threads, chunk_size, max_inflight, start)?
+        };
+        let timeline = self.timeline.map(|spec| {
+            if spec.deterministic {
+                Timeline::from_logical(lanes.into_iter().map(LaneTelemetry::into_logical).collect())
+            } else {
+                let mut samplers = Vec::new();
+                let mut logs = Vec::new();
+                for lane in lanes {
+                    if let LaneTelemetry::Wall(sampler, log) = lane {
+                        samplers.push(sampler);
+                        logs.push(log);
+                    }
+                }
+                Timeline::from_wall(spec.interval, threads, samplers, logs)
+            }
+        });
+        let wall_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        for w in &mut workers {
+            w.idle_ns = wall_ns.saturating_sub(w.busy_ns);
+        }
+        Ok(StreamRun {
+            aggregate,
+            threads,
+            chunk_size,
+            max_inflight,
+            chunks,
+            elapsed: start.elapsed(),
+            workers,
+            timeline,
+            peak_rss_kb: npstream::peak_rss_kb(),
+        })
+    }
 
+    /// The one-thread driver: the reader, the worker and the merger take
+    /// turns on the calling thread over one reused chunk, on the
+    /// pipeline's lanes (worker 0, reader 1, merger 2). A source error
+    /// abandons the partly filled chunk unprocessed, as the threaded
+    /// reader does.
+    fn stream_inline<S: PacketSource>(
+        &self,
+        mut source: S,
+        detail: Detail,
+        chunk_size: usize,
+        start: Instant,
+    ) -> Result<Folded, BenchError> {
+        let wall_spec = self.timeline.filter(|s| !s.deterministic);
+        let mut lane = self.timeline.map(|spec| LaneTelemetry::new(spec, 0, start));
+        let mut reader_lane = wall_spec.map(|s| LaneTelemetry::new(s, 1, start));
+        let mut merger_lane = wall_spec.map(|s| LaneTelemetry::new(s, 2, start));
+        let mut probe = LaneProbe::default();
+        let counters = MonitorCounters::default();
+        let status = (self.progress || self.watch).then(|| self.status_line());
+        let progress = status.is_some().then_some(&counters);
+        let mut last_status = start;
+
+        let mut bench: Option<PacketBench> = None;
+        let mut chunk = Chunk {
+            items: Vec::with_capacity(chunk_size),
+        };
+        let mut aggregate = StreamAggregate::new();
+        let mut chunks = 0u64;
+        let mut read = 0u64;
+        let mut packets = 0u64;
+        let mut busy_ns = 0u64;
+        let mut eof = false;
+        let outcome = 'run: loop {
+            let read_began = Instant::now();
+            chunk.items.clear();
+            while !eof && chunk.len() < chunk_size {
+                match source.next_packet() {
+                    Ok(Some(packet)) => {
+                        chunk.items.push((read, packet));
+                        read += 1;
+                        if let Some(LaneTelemetry::Wall(sampler, _)) = &mut reader_lane {
+                            if sampler.on_packet() {
+                                sampler.push(Sample::default());
+                            }
+                        }
+                    }
+                    Ok(None) => eof = true,
+                    Err(e) => break 'run Err(BenchError::from(e)),
+                }
+            }
+            if chunk.is_empty() {
+                break Ok(());
+            }
+            let id = chunks;
+            chunks += 1;
+            let chunk_packets = chunk.len() as u64;
+            if let Some(LaneTelemetry::Wall(_, log)) = &mut reader_lane {
+                log.record(Stage::Read, id, 1, read_began, chunk_packets);
+            }
+
+            let busy_start = Instant::now();
+            let telemetry = lane.as_mut().map(|lane| ChunkTelemetry {
+                lane,
+                probe: &mut probe,
+                input: None,
+                busy_base_ns: busy_ns,
+                busy_start,
+            });
+            let processed = self.stream_chunk(
+                &mut bench,
+                &chunk,
+                detail,
+                progress,
+                &mut packets,
+                telemetry,
+            );
+            busy_ns += busy_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+            if let Some(lane) = &mut lane {
+                lane.finish_exec(id, busy_start, chunk_packets);
+            }
+            let chunk_aggregate = match processed {
+                Ok(agg) => agg,
+                Err(e) => break Err(e),
+            };
+
+            let fold_began = Instant::now();
+            aggregate.merge(&chunk_aggregate);
+            if let Some(LaneTelemetry::Wall(sampler, log)) = &mut merger_lane {
+                log.record(Stage::Merge, id, 2, fold_began, chunk_packets);
+                if sampler.on_packets(chunk_packets) {
+                    sampler.push(Sample::default());
+                }
+            }
+            if let Some(status) = &status {
+                if last_status.elapsed() >= PROGRESS_INTERVAL {
+                    last_status = Instant::now();
+                    self.show_progress(status, &counters, start);
+                }
+            }
+        };
+        if let (true, Some(status)) = (self.watch, &status) {
+            status.finish_refresh();
+        }
+        outcome?;
+        Ok(Folded {
+            aggregate,
+            chunks,
+            workers: vec![stream_metrics(0, bench.as_ref(), packets, busy_ns, read)],
+            lanes: lane
+                .into_iter()
+                .chain(reader_lane)
+                .chain(merger_lane)
+                .collect(),
+        })
+    }
+
+    /// The threaded driver for `threads > 1`: a reader thread, one worker
+    /// thread per shard and the merger on the calling thread, joined by
+    /// bounded queues under a permit semaphore (see the module docs).
+    fn stream_pipelined<S: PacketSource + Send>(
+        &self,
+        source: S,
+        detail: Detail,
+        threads: usize,
+        chunk_size: usize,
+        max_inflight: usize,
+        start: Instant,
+    ) -> Result<Folded, BenchError> {
         // One permit per in-flight chunk; every queue's capacity matches
         // the permit count so only the semaphore can block the reader and
         // nothing can block a worker's push (see module docs). Chunks
@@ -248,24 +449,15 @@ impl Engine {
             let monitor = status.as_ref().map(|status| {
                 let counters = &counters;
                 let done = &done;
-                let watch = self.watch;
                 let status = Arc::clone(status);
                 scope.spawn(move || {
                     while !done.load(Ordering::Acquire) {
                         std::thread::park_timeout(PROGRESS_INTERVAL);
-                        let n = counters.processed.load(Ordering::Relaxed);
-                        if done.load(Ordering::Acquire) || n == 0 {
-                            continue;
-                        }
-                        if watch {
-                            let pps = n as f64 / start.elapsed().as_secs_f64().max(1e-9);
-                            let memo = counters.memo_suffix();
-                            status.refresh(&format!("pb: {n} packets streamed {pps:.0} pps{memo}"));
-                        } else {
-                            status.emit(&format!("pb: {n} packets streamed"));
+                        if !done.load(Ordering::Acquire) {
+                            self.show_progress(&status, counters, start);
                         }
                     }
-                    if watch {
+                    if self.watch {
                         status.finish_refresh();
                     }
                 })
@@ -424,36 +616,29 @@ impl Engine {
         if let Some(e) = source_error.into_inner().unwrap() {
             return Err(e);
         }
-        let timeline = self.timeline.map(|spec| {
-            if spec.deterministic {
-                Timeline::from_logical(lanes.into_iter().map(LaneTelemetry::into_logical).collect())
-            } else {
-                let mut samplers = Vec::new();
-                let mut logs = Vec::new();
-                for lane in lanes.into_iter().chain(merger_lane) {
-                    if let LaneTelemetry::Wall(sampler, log) = lane {
-                        samplers.push(sampler);
-                        logs.push(log);
-                    }
-                }
-                Timeline::from_wall(spec.interval, threads, samplers, logs)
-            }
-        });
-        let wall_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        for w in &mut workers {
-            w.idle_ns = wall_ns.saturating_sub(w.busy_ns);
-        }
-        Ok(StreamRun {
+        lanes.extend(merger_lane);
+        Ok(Folded {
             aggregate,
-            threads,
-            chunk_size,
-            max_inflight,
             chunks,
-            elapsed: start.elapsed(),
             workers,
-            timeline,
-            peak_rss_kb: npstream::peak_rss_kb(),
+            lanes,
         })
+    }
+
+    /// Shows the streaming status line: the in-place `--watch` refresh,
+    /// or a `--progress` line. Silent until the first packet retires.
+    fn show_progress(&self, status: &StatusLine, counters: &MonitorCounters, start: Instant) {
+        let n = counters.processed.load(Ordering::Relaxed);
+        if n == 0 {
+            return;
+        }
+        if self.watch {
+            let pps = n as f64 / start.elapsed().as_secs_f64().max(1e-9);
+            let memo = counters.memo_suffix();
+            status.refresh(&format!("pb: {n} packets streamed {pps:.0} pps{memo}"));
+        } else {
+            status.emit(&format!("pb: {n} packets streamed"));
+        }
     }
 
     /// One streaming worker: pop chunks FIFO, process each packet with
@@ -491,51 +676,37 @@ impl Engine {
             let telemetry = lane.as_mut().map(|lane| ChunkTelemetry {
                 lane,
                 probe: &mut probe,
-                input,
+                input: Some(input),
                 busy_base_ns: busy_ns,
                 busy_start,
             });
-            let outcome = self.stream_chunk(
+            let outcome = match self.stream_chunk(
                 &mut bench,
                 &chunk,
                 detail,
                 progress,
                 &mut packets,
                 telemetry,
-            );
+            ) {
+                Ok(agg) => ChunkOutcome::Stats(agg),
+                Err(error) => {
+                    failed = true;
+                    ChunkOutcome::Failed(error)
+                }
+            };
             busy_ns += busy_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
             if let Some(lane) = &mut lane {
                 lane.finish_exec(id, busy_start, chunk.len() as u64);
             }
-            failed = !matches!(outcome, ChunkOutcome::Stats(_));
             let _ = result.push(outcome);
         }
-        let memo = bench
-            .as_ref()
-            .map(|b| b.memo_counters())
-            .unwrap_or_default();
-        let tstats = bench.as_ref().map(|b| b.trace_stats()).unwrap_or_default();
-        let metrics = WorkerMetrics {
-            worker,
-            packets,
-            busy_ns,
-            idle_ns: 0,
-            queue_depth: enqueued,
-            memo_hits: memo.hits,
-            memo_misses: memo.misses,
-            memo_evictions: memo.evictions,
-            block_bailouts: bench.as_ref().map(|b| b.block_bailouts()).unwrap_or(0),
-            traces_formed: tstats.formed,
-            trace_hits: tstats.hits,
-            trace_guard_exits: tstats.guard_exits,
-            trace_declines: tstats.declines,
-            ring_dropped: 0,
-        };
+        let metrics = stream_metrics(worker, bench.as_ref(), packets, busy_ns, enqueued);
         (metrics, lane)
     }
 
-    /// Processes one chunk, building the worker's `PacketBench` first if
-    /// this is its first chunk.
+    /// Processes one chunk and returns its fold, building the worker's
+    /// `PacketBench` first if this is its first chunk. The one per-packet
+    /// body of both streaming drivers.
     fn stream_chunk(
         &self,
         bench: &mut Option<PacketBench>,
@@ -544,28 +715,25 @@ impl Engine {
         progress: Option<&MonitorCounters>,
         packets: &mut u64,
         mut telemetry: Option<ChunkTelemetry<'_>>,
-    ) -> ChunkOutcome {
+    ) -> Result<StreamAggregate, BenchError> {
         let bench = match bench {
             Some(b) => b,
             None => {
-                let built = App::build(self.id(), self.config())
-                    .and_then(|app| PacketBench::with_config(app, self.config()));
-                match built {
-                    Ok(mut b) => {
-                        // The bench — and with it the memo cache — lives
-                        // for the worker's whole run, so entries installed
-                        // in one chunk serve hits in every later chunk.
-                        b.set_memo(self.memo);
-                        bench.insert(b)
-                    }
-                    Err(error) => return ChunkOutcome::Failed(error),
-                }
+                let mut b = App::build(self.id(), self.config())
+                    .and_then(|app| PacketBench::with_config(app, self.config()))?;
+                // The bench — and with it the memo cache — lives for the
+                // worker's whole run, so entries installed in one chunk
+                // serve hits in every later chunk.
+                b.set_memo(self.memo);
+                bench.insert(b)
             }
         };
         let mut agg = StreamAggregate::new();
         let mut last_memo = bench.memo_counters();
+        // One scratch record for the whole chunk: every packet overwrites
+        // it, so the executed set is allocated once, not per packet.
+        let mut record = PacketRecord::empty();
         for &(index, ref packet) in &chunk.items {
-            let mut record = PacketRecord::empty();
             let run = bench
                 .process_packet_at(index, packet, detail, &mut record)
                 .and_then(|()| {
@@ -577,7 +745,7 @@ impl Engine {
                 });
             if let Err(error) = run {
                 bench.take_output_packets();
-                return ChunkOutcome::Failed(error);
+                return Err(error);
             }
             agg.add_record(&record);
             *packets += 1;
@@ -587,7 +755,7 @@ impl Engine {
                     index,
                     &record,
                     bench,
-                    t.input.len() as u64,
+                    t.input.map_or(0, |input| input.len() as u64),
                     t.busy_base_ns,
                     t.busy_start,
                     0,
@@ -608,7 +776,37 @@ impl Engine {
         // Emitted packets are not part of the aggregate; drop them per
         // chunk so they cannot accumulate.
         bench.take_output_packets();
-        ChunkOutcome::Stats(agg)
+        Ok(agg)
+    }
+}
+
+/// A streaming worker's telemetry: its bench's memo and trace counters
+/// (zeros if it never built one) plus the driver's packet, busy-time and
+/// enqueued counts. `idle_ns` is set once the run's wall time is known.
+fn stream_metrics(
+    worker: usize,
+    bench: Option<&PacketBench>,
+    packets: u64,
+    busy_ns: u64,
+    enqueued: u64,
+) -> WorkerMetrics {
+    let memo = bench.map(|b| b.memo_counters()).unwrap_or_default();
+    let tstats = bench.map(|b| b.trace_stats()).unwrap_or_default();
+    WorkerMetrics {
+        worker,
+        packets,
+        busy_ns,
+        idle_ns: 0,
+        queue_depth: enqueued,
+        memo_hits: memo.hits,
+        memo_misses: memo.misses,
+        memo_evictions: memo.evictions,
+        block_bailouts: bench.map_or(0, |b| b.block_bailouts()),
+        traces_formed: tstats.formed,
+        trace_hits: tstats.hits,
+        trace_guard_exits: tstats.guard_exits,
+        trace_declines: tstats.declines,
+        ring_dropped: 0,
     }
 }
 
@@ -639,7 +837,9 @@ mod tests {
         let packets = SyntheticTrace::new(TraceProfile::mra(), 7).take_packets(200);
         let want = batch_aggregate(&engine, &packets);
         for threads in [1, 3] {
-            for chunk_size in [1, 16, 1024] {
+            // Chunk size 1, a short final chunk, exactly one full chunk,
+            // and fewer packets than one chunk.
+            for chunk_size in [1, 16, 200, 1024] {
                 let run = engine
                     .run_streaming(
                         synth(200, 7),
@@ -662,6 +862,10 @@ mod tests {
                     200,
                     "threads={threads} chunk_size={chunk_size}"
                 );
+                if threads == 1 {
+                    assert_eq!(run.chunks, 200u64.div_ceil(chunk_size as u64));
+                    assert_eq!(run.workers[0].queue_depth, 200);
+                }
             }
         }
     }
@@ -689,11 +893,19 @@ mod tests {
 
     #[test]
     fn empty_source_yields_empty_run() {
-        let run = Engine::new(AppId::Ipv4Trie)
-            .run_streaming(synth(0, 1), Detail::counts(), StreamConfig::default())
-            .unwrap();
-        assert_eq!(run.packets(), 0);
-        assert_eq!(run.chunks, 0);
+        for threads in [1, 2] {
+            let config = StreamConfig {
+                threads,
+                ..StreamConfig::default()
+            };
+            let run = Engine::new(AppId::Ipv4Trie)
+                .run_streaming(synth(0, 1), Detail::counts(), config)
+                .unwrap();
+            assert_eq!(run.packets(), 0);
+            assert_eq!(run.chunks, 0);
+            assert_eq!(run.workers.len(), threads);
+            assert!(run.workers.iter().all(|w| w.packets == 0));
+        }
     }
 
     #[test]
@@ -732,22 +944,28 @@ mod tests {
                 self.inner.next_packet()
             }
         }
-        let source = BadAfter {
-            inner: synth(u64::MAX, 5),
-            left: 40,
-        };
-        let err = Engine::new(AppId::Ipv4Radix)
-            .run_streaming(
-                source,
-                Detail::counts(),
-                StreamConfig {
-                    threads: 3,
-                    chunk_size: 4,
-                    max_inflight: 2,
-                },
-            )
-            .unwrap_err();
-        assert!(matches!(err, BenchError::BadPacket(_)), "{err:?}");
+        // With one thread, index 6 lands in the second chunk.
+        for (threads, left) in [(3, 40), (1, 6)] {
+            let source = BadAfter {
+                inner: synth(u64::MAX, 5),
+                left,
+            };
+            let err = Engine::new(AppId::Ipv4Radix)
+                .run_streaming(
+                    source,
+                    Detail::counts(),
+                    StreamConfig {
+                        threads,
+                        chunk_size: 4,
+                        max_inflight: 2,
+                    },
+                )
+                .unwrap_err();
+            assert!(
+                matches!(err, BenchError::BadPacket(_)),
+                "threads={threads}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -829,6 +1047,110 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn one_thread(chunk_size: usize) -> StreamConfig {
+        StreamConfig {
+            threads: 1,
+            chunk_size,
+            max_inflight: 0,
+        }
+    }
+
+    #[test]
+    fn inline_source_error_abandons_the_partial_chunk() {
+        // Five good packets, one the application would reject, then a
+        // read error, all inside the first chunk: the error is the
+        // source's, because the partial chunk is never processed — on the
+        // inline path and in the threaded pipeline alike.
+        struct ThenFail(u64);
+        impl PacketSource for ThenFail {
+            fn next_packet(&mut self) -> Result<Option<Packet>, TraceError> {
+                self.0 += 1;
+                match self.0 {
+                    1..=5 => Ok(Some(
+                        SyntheticTrace::new(TraceProfile::mra(), self.0).next_packet(),
+                    )),
+                    6 => Ok(Some(Packet::from_l3(Timestamp::default(), vec![0x45; 8]))),
+                    _ => Err(TraceError::Truncated {
+                        what: "test record",
+                    }),
+                }
+            }
+        }
+        let mut messages = Vec::new();
+        for threads in [1, 2] {
+            let config = StreamConfig {
+                threads,
+                chunk_size: 8,
+                max_inflight: 2,
+            };
+            let err = Engine::new(AppId::Ipv4Radix)
+                .run_streaming(ThenFail(0), Detail::counts(), config)
+                .unwrap_err();
+            messages.push(err.to_string());
+        }
+        assert!(messages[0].contains("test record"), "{}", messages[0]);
+        assert_eq!(messages[0], messages[1]);
+    }
+
+    #[test]
+    fn inline_worker_metrics_match_the_batch_engine() {
+        use crate::framework::MemoMode;
+        let zipf = TraceProfile::with_zipf(32, 120);
+        let packets = SyntheticTrace::new(zipf, 27).take_packets(600);
+        for id in [AppId::Ipv4Radix, AppId::Ipv4Trie] {
+            for memo in [MemoMode::Off, MemoMode::On] {
+                let engine = Engine::new(id).memo(memo);
+                let batch = engine.run(&packets, Detail::counts(), 1).unwrap();
+                let source = Limited::new(SyntheticTrace::new(zipf, 27), 600);
+                let run = engine
+                    .run_streaming(source, Detail::counts(), one_thread(64))
+                    .unwrap();
+                // Nonzero counters, so equality below means something
+                // (with memo on, hits starve trace warm-up).
+                let (traces, hits) = (batch.workers[0].traces_formed, batch.workers[0].memo_hits);
+                match memo {
+                    MemoMode::Off => assert!(traces > 0, "{id:?}"),
+                    _ => assert!(hits > 0, "{id:?}"),
+                }
+                let (want, got) = (&batch.workers[0], &run.workers[0]);
+                let counters = |w: &WorkerMetrics| {
+                    [
+                        w.packets,
+                        w.queue_depth,
+                        w.memo_hits,
+                        w.memo_misses,
+                        w.memo_evictions,
+                        w.block_bailouts,
+                        w.traces_formed,
+                        w.trace_hits,
+                        w.trace_guard_exits,
+                        w.trace_declines,
+                    ]
+                };
+                assert_eq!(counters(got), counters(want), "{id:?} {memo:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn inline_wall_timeline_keeps_the_pipeline_lanes() {
+        use npobs::timeline::TimelineSpec;
+        let run = Engine::new(AppId::Ipv4Trie)
+            .timeline(Some(TimelineSpec::wall().every(8)))
+            .run_streaming(synth(100, 2), Detail::counts(), one_thread(16))
+            .unwrap();
+        let timeline = run.timeline.expect("timeline requested");
+        assert_eq!(timeline.workers, 1);
+        for (stage, lane) in [(Stage::Read, 1), (Stage::Exec, 0), (Stage::Merge, 2)] {
+            let spans: Vec<_> = timeline.spans.iter().filter(|s| s.stage == stage).collect();
+            assert_eq!(spans.len(), 7, "{stage:?}");
+            assert!(spans.iter().all(|s| s.lane == lane), "{stage:?}");
+            let ids: Vec<u64> = spans.iter().map(|s| s.id).collect();
+            assert_eq!(ids, (0..7).collect::<Vec<_>>(), "{stage:?}");
+        }
+        assert!(!timeline.samples.is_empty());
     }
 
     #[test]

@@ -90,23 +90,49 @@ impl<V> MemoCache<V> {
     /// Installs `value` under `key`, displacing any different key that
     /// hashed to the same slot (counted as an eviction).
     pub fn insert(&mut self, key: &[u8], value: V) {
-        let index = (fnv1a(key) & self.mask) as usize;
-        match &mut self.slots[index] {
-            Some(slot) => {
-                if slot.key != key {
-                    self.counters.evictions += 1;
-                    slot.key.clear();
-                    slot.key.extend_from_slice(key);
-                }
-                slot.value = value;
-            }
-            empty => {
-                *empty = Some(Slot {
-                    key: key.to_vec(),
-                    value,
-                });
-            }
+        match self.claim(key) {
+            Ok(slot) => *slot = value,
+            Err(empty) => self.fill(empty, key, value),
         }
+    }
+
+    /// Installs a value under `key` like [`MemoCache::insert`], but in
+    /// place: an occupied slot — refreshed or displaced — has its value
+    /// rewritten by `overwrite`, so a steady-state insert allocates
+    /// nothing; only an empty slot takes a fresh value from `make`.
+    pub fn insert_with(
+        &mut self,
+        key: &[u8],
+        make: impl FnOnce() -> V,
+        overwrite: impl FnOnce(&mut V),
+    ) {
+        match self.claim(key) {
+            Ok(slot) => overwrite(slot),
+            Err(empty) => self.fill(empty, key, make()),
+        }
+    }
+
+    /// The value in `key`'s slot, rekeyed to `key` (displacing a
+    /// different key counts as an eviction), or the slot's index when it
+    /// is empty.
+    fn claim(&mut self, key: &[u8]) -> Result<&mut V, usize> {
+        let index = (fnv1a(key) & self.mask) as usize;
+        let Some(slot) = self.slots[index].as_mut() else {
+            return Err(index);
+        };
+        if slot.key != key {
+            self.counters.evictions += 1;
+            slot.key.clear();
+            slot.key.extend_from_slice(key);
+        }
+        Ok(&mut slot.value)
+    }
+
+    fn fill(&mut self, index: usize, key: &[u8], value: V) {
+        self.slots[index] = Some(Slot {
+            key: key.to_vec(),
+            value,
+        });
     }
 
     /// The cache's hit/miss/eviction counters.
@@ -545,6 +571,36 @@ mod tests {
             }
         }
         assert!(evicted, "16 keys into 2 slots must evict");
+    }
+
+    #[test]
+    fn insert_with_overwrites_in_place_and_counts_like_insert() {
+        let keys: Vec<[u8; 1]> = (0..40u8).map(|i| [i % 11]).collect();
+        let mut moved: MemoCache<Vec<u8>> = MemoCache::with_slots(4);
+        let mut in_place: MemoCache<Vec<u8>> = MemoCache::with_slots(4);
+        let mut made = 0;
+        for key in &keys {
+            moved.insert(key, key.to_vec());
+            in_place.insert_with(
+                key,
+                || {
+                    made += 1;
+                    key.to_vec()
+                },
+                |v| {
+                    v.clear();
+                    v.extend_from_slice(key);
+                },
+            );
+        }
+        // A value is only built for an empty slot; every later insert
+        // rewrites the slot it lands in.
+        assert_eq!(made, in_place.len());
+        assert_eq!(moved.counters(), in_place.counters());
+        assert!(in_place.counters().evictions > 0);
+        for key in &keys {
+            assert_eq!(moved.lookup(key), in_place.lookup(key));
+        }
     }
 
     #[test]

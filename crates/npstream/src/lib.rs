@@ -1,10 +1,11 @@
 //! # npstream — bounded-memory streaming primitives for PacketBench
 //!
-//! `pb run` materializes its whole trace as a `Vec<Packet>` before the
-//! engine starts, which caps trace size at RAM. This crate provides the
-//! building blocks of the streaming alternative, where trace size is
-//! bounded by disk and memory use is a function of the *configuration*
-//! (threads, chunk size, in-flight window), never of the packet count:
+//! A batch run that materializes its whole trace as a `Vec<Packet>`
+//! before the engine starts caps trace size at RAM. This crate provides
+//! the building blocks of the streaming driver behind `pb run` and
+//! `pb stream`, where trace size is bounded by disk and memory use is a
+//! function of the *configuration* (threads, chunk size, in-flight
+//! window), never of the packet count:
 //!
 //! * [`BoundedQueue`] — fixed-capacity blocking queues coupling the
 //!   pipeline stages (reader → shard workers → merger) with explicit
@@ -15,7 +16,8 @@
 //!   sharded packet stream, so flush order (and with it the merge order)
 //!   depends only on trace, sharding, and chunk size — never on thread
 //!   timing,
-//! * [`SourceSpec`] — parsing of `pb stream` source strings
+//! * [`SourceSpec`] — parsing of `pb stream` source strings (and the
+//!   sources `pb run` builds from `--pcap` or `--trace`/`--seed`)
 //!   (`capture.pcap`, `trace.tsh`, `synth:mra:seed=42:packets=10000000`)
 //!   into [`nettrace::PacketSource`] instances,
 //! * [`peak_rss_kb`] — the peak-RSS probe behind the bounded-memory

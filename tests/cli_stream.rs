@@ -64,6 +64,49 @@ fn stream_report_is_byte_identical_to_run() {
 }
 
 #[test]
+fn run_over_a_pcap_is_byte_identical_to_stream() {
+    use nettrace::pcap::PcapWriter;
+    use nettrace::synth::{SyntheticTrace, TraceProfile};
+    use nettrace::LinkType;
+
+    // Zipf traffic, so `--memo on` serves most packets from the cache.
+    let dir = std::env::temp_dir().join("pb_cli_run_pcap_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("zipf.pcap");
+    let mut file = Vec::new();
+    let mut writer = PcapWriter::new(&mut file, LinkType::Raw, 65535).unwrap();
+    for packet in SyntheticTrace::new(TraceProfile::zipf(), 11).take_packets(700) {
+        writer.write_packet(&packet).unwrap();
+    }
+    writer.into_inner().unwrap();
+    std::fs::write(&path, file).unwrap();
+    let path = path.to_str().unwrap();
+
+    for app in ["radix", "trie"] {
+        let reference = pb(&["run", "--app", app, "--pcap", path, "-n", "600"]);
+        assert!(reference.status.success(), "{}", stderr(&reference));
+        let want = stdout(&reference);
+        assert!(want.contains("packets:                600"), "{want}");
+        for threads in ["1", "4", "7"] {
+            for memo in ["off", "on"] {
+                let common = ["--threads", threads, "--memo", memo, "-n", "600"];
+                let run = pb(&[&["run", "--app", app, "--pcap", path][..], &common].concat());
+                let stream = pb(&[&["stream", app, path][..], &common].concat());
+                for (what, out) in [("run", &run), ("stream", &stream)] {
+                    assert!(out.status.success(), "{what}: {}", stderr(out));
+                    assert_eq!(
+                        stdout(out),
+                        want,
+                        "{what} {app} threads {threads} memo {memo}"
+                    );
+                }
+            }
+        }
+    }
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
 fn stream_verify_and_uarch_match_run() {
     let run = pb(&[
         "run",

@@ -267,11 +267,12 @@ profile run. Runs without these flags carry zero telemetry cost.
 flows are answered from a cache keyed on the header bytes the
 application reads, skipping simulation entirely. A static write
 analysis proves which applications are safe to memoize (radix and
-trie); stateful or writing applications bypass the cache automatically.
-Reports are bit-identical to `--memo off`. `--memo check` always
-simulates and asserts every cached result matches the live run — the
-soundness debug mode. Try it on the `zipf` trace profile, which models
-a fixed flow population under a Zipf popularity law.
+trie); stateful or writing applications bypass the cache automatically,
+and the `memo:` line on stderr says why. Reports are bit-identical to
+`--memo off`. `--memo check` always simulates and asserts every cached
+result matches the live run — the soundness debug mode. Try it on the
+`zipf` trace profile, which models a fixed flow population under a Zipf
+popularity law.
 
 `pb conform` differentially tests the optimized simulator against a
 reference interpreter: a seeded corpus of random programs plus all five
@@ -345,12 +346,17 @@ fn memo_from(args: &Args) -> Result<MemoMode, CliError> {
     }
 }
 
-/// One stderr line summarizing per-worker memoization traffic. Printed
-/// only when memoization was requested, so default runs are unchanged.
-/// Routed through the run's shared [`StatusLine`] so it cannot interleave
-/// with an in-flight `--progress` or `--watch` line.
+/// One stderr line summarizing per-worker memoization traffic, or saying
+/// why the cache stayed off. Printed only when memoization was requested,
+/// so default runs are unchanged. Routed through the run's shared
+/// [`StatusLine`] so it cannot interleave with an in-flight `--progress`
+/// or `--watch` line.
 fn report_memo(memo: MemoMode, workers: &[packetbench::WorkerMetrics], status: &StatusLine) {
     if memo == MemoMode::Off {
+        return;
+    }
+    if let Some(why) = packetbench::memo_refusal(workers) {
+        status.emit(&format!("memo:                   inactive ({why})"));
         return;
     }
     let hits: u64 = workers.iter().map(|w| w.memo_hits).sum();
@@ -358,7 +364,9 @@ fn report_memo(memo: MemoMode, workers: &[packetbench::WorkerMetrics], status: &
     let evictions: u64 = workers.iter().map(|w| w.memo_evictions).sum();
     let total = hits + misses;
     if total == 0 {
-        status.emit("memo:                   inactive (application not memoizable)");
+        // The cache was built but never consulted: it serves only
+        // counts-only runs, and `--uarch` asks for more.
+        status.emit("memo:                   inactive (--uarch runs are never memoized)");
         return;
     }
     status.emit(&format!(

@@ -43,7 +43,7 @@ use npsim::{NullObserver, Observer};
 use crate::apps::{App, AppId};
 use crate::config::WorkloadConfig;
 use crate::error::BenchError;
-use crate::framework::{Detail, MemoMode, PacketBench, PacketRecord};
+use crate::framework::{Detail, MemoMode, MemoRefusal, PacketBench, PacketRecord};
 
 /// How often the in-run progress line is refreshed.
 const PROGRESS_INTERVAL: Duration = Duration::from_millis(1000);
@@ -282,6 +282,7 @@ impl Engine {
         let mut workers: Vec<WorkerMetrics> = (0..threads)
             .map(|w| WorkerMetrics {
                 worker: w,
+                memo_refusal: MemoRefusal::of_worker(self.memo, None),
                 ..WorkerMetrics::default()
             })
             .collect();
@@ -493,6 +494,7 @@ impl Engine {
             memo_hits: memo.hits,
             memo_misses: memo.misses,
             memo_evictions: memo.evictions,
+            memo_refusal: bench.memo_refusal().cloned(),
             block_bailouts: bench.block_bailouts(),
             traces_formed: tstats.formed,
             trace_hits: tstats.hits,
@@ -620,6 +622,7 @@ impl Engine {
             memo_hits: memo.hits,
             memo_misses: memo.misses,
             memo_evictions: memo.evictions,
+            memo_refusal: bench.memo_refusal().cloned(),
             block_bailouts: bench.block_bailouts(),
             traces_formed: tstats.formed,
             trace_hits: tstats.hits,
@@ -763,9 +766,15 @@ pub struct WorkerMetrics {
     /// (each installs or refreshes an entry). Zero when memoization is
     /// off.
     pub memo_misses: u64,
-    /// Cache entries displaced by a colliding key (direct-mapped
-    /// replacement). Zero when memoization is off.
+    /// Cache entries displaced by an install: the least recently used key
+    /// of a full 4-way set. Zero when memoization is off.
     pub memo_evictions: u64,
+    /// Why this worker ran without its memo cache although memoization
+    /// was asked for: its bench's [`PacketBench::memo_refusal`], or
+    /// [`MemoRefusal::NoPackets`] when it never built a bench. `None`
+    /// when memoization is off or the cache was active. Not exported;
+    /// [`memo_refusal`] folds it over a run's workers.
+    pub memo_refusal: Option<MemoRefusal>,
     /// Times the superblock engine bailed out to the per-instruction
     /// loop on this worker (mid-block entries and instruction-budget
     /// tails). Zero on the full-detail paths, which never enter the
@@ -786,6 +795,22 @@ pub struct WorkerMetrics {
     /// was exhausted. Always zero in batch and stream modes, which
     /// apply backpressure instead of dropping (`pb live` only).
     pub ring_dropped: u64,
+}
+
+/// Why a run that asked for memoization ran without it, from its
+/// workers' metrics: `None` when some worker's cache was active (or
+/// memoization was off). Every worker that built a bench carries the
+/// application's refusal, so that one wins over
+/// [`MemoRefusal::NoPackets`], which is the answer only when no worker
+/// built a bench.
+pub fn memo_refusal(workers: &[WorkerMetrics]) -> Option<&MemoRefusal> {
+    if workers.iter().any(|w| w.memo_refusal.is_none()) {
+        return None;
+    }
+    let refusals = || workers.iter().filter_map(|w| w.memo_refusal.as_ref());
+    refusals()
+        .find(|r| **r != MemoRefusal::NoPackets)
+        .or_else(|| refusals().next())
 }
 
 /// The merged, trace-ordered result of an [`Engine::run`].
@@ -958,6 +983,23 @@ mod tests {
                 "threads={threads}: {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_runs_memo_refusal_is_the_applications_unless_a_cache_ran() {
+        let worker = |refusal: Option<MemoRefusal>| WorkerMetrics {
+            memo_refusal: refusal,
+            ..WorkerMetrics::default()
+        };
+        let store = MemoRefusal::UnsafeStore("store".into());
+        let idle = worker(Some(MemoRefusal::NoPackets));
+        // Workers given no packets defer to one that built a bench.
+        let run = [idle.clone(), worker(Some(store.clone())), idle.clone()];
+        assert_eq!(memo_refusal(&run), Some(&store));
+        let run = [idle.clone(), idle.clone()];
+        assert_eq!(memo_refusal(&run), Some(&MemoRefusal::NoPackets));
+        // One active cache (or memo off) means the run was not refused.
+        assert_eq!(memo_refusal(&[idle, worker(None)]), None);
     }
 
     #[test]

@@ -9,14 +9,16 @@
 //! the framework's own — is never counted in the statistics (the paper's
 //! *selective accounting*).
 
+use std::fmt;
+
 use nettrace::{Packet, Timestamp};
 use npsim::bblock::{BlockMap, BlockTable};
 use npsim::cpu::HaltReason;
 use npsim::uarch::OpMix;
 use npsim::util::BitSet;
 use npsim::{
-    reg, Cpu, Interpreter, MemCounts, MemoCache, MemoCounters, Memory, MemoryMap, RunConfig,
-    RunStats, SimError, SysHandler, SysOutcome,
+    reg, Cpu, Interpreter, MemCounts, MemoCache, MemoCounters, MemoKey, Memory, MemoryMap,
+    RunConfig, RunStats, SimError, SysHandler, SysOutcome,
 };
 
 use crate::apps::App;
@@ -123,6 +125,47 @@ impl MemoMode {
     }
 }
 
+/// Why [`PacketBench::set_memo`] left memoization off although a mode
+/// other than [`MemoMode::Off`] was asked for. Printed as the reason on
+/// the CLI's memo line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MemoRefusal {
+    /// The application declares no memo key ([`crate::AppId::memo_key_len`]).
+    NoKey,
+    /// The static write-region guard found a store it cannot prove
+    /// packet-scoped; carries the first violation `npsim::analyze_writes`
+    /// reported.
+    UnsafeStore(String),
+    /// The program calls the side-effectful `write_packet_to_file`.
+    WritesPackets,
+    /// A worker that never built a bench (it was given no packets), so
+    /// nothing was decided.
+    NoPackets,
+}
+
+impl MemoRefusal {
+    /// A worker's refusal for a run in `mode`: its bench's, or
+    /// [`MemoRefusal::NoPackets`] when it never built one. `None` when
+    /// memoization is off or the worker's cache is active.
+    pub(crate) fn of_worker(mode: MemoMode, bench: Option<&PacketBench>) -> Option<MemoRefusal> {
+        match bench {
+            Some(bench) => bench.memo_refusal().cloned(),
+            None => (mode != MemoMode::Off).then_some(MemoRefusal::NoPackets),
+        }
+    }
+}
+
+impl fmt::Display for MemoRefusal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MemoRefusal::NoKey => f.write_str("the application declares no memo key"),
+            MemoRefusal::UnsafeStore(violation) => write!(f, "write guard: {violation}"),
+            MemoRefusal::WritesPackets => f.write_str("the application calls write_packet_to_file"),
+            MemoRefusal::NoPackets => f.write_str("no packets"),
+        }
+    }
+}
+
 /// One cached per-flow result: the counts-only [`RunStats`] delta plus the
 /// application's verdict and return value. Traces and uarch stats are never
 /// cached — memoization only engages at [`Detail::counts`].
@@ -224,7 +267,9 @@ struct MemoLayer {
     mode: MemoMode,
     cache: MemoCache<MemoEntry>,
     key_len: usize,
-    key_buf: Vec<u8>,
+    /// The current packet's key, hashed once by `memo_pre` and reused by
+    /// `memo_post`.
+    key: MemoKey,
 }
 
 /// Everything recorded about one packet's processing.
@@ -306,6 +351,9 @@ pub struct PacketBench {
     packets_processed: u64,
     block_bailouts: u64,
     memo: Option<MemoLayer>,
+    /// Why the last [`PacketBench::set_memo`] left memoization off, when
+    /// it was asked for.
+    memo_refusal: Option<MemoRefusal>,
 }
 
 impl PacketBench {
@@ -343,6 +391,7 @@ impl PacketBench {
             packets_processed: 0,
             block_bailouts: 0,
             memo: None,
+            memo_refusal: None,
         })
     }
 
@@ -354,30 +403,50 @@ impl PacketBench {
     /// prove every store targets the packet buffer, the stack, or the
     /// `.data` scratch below [`App::struct_base`], and the program must
     /// not call the side-effectful `write_packet_to_file`. Applications
-    /// failing either test silently bypass the cache — annotations are
-    /// never trusted over the analysis.
+    /// failing either test bypass the cache — annotations are never
+    /// trusted over the analysis — and [`PacketBench::memo_refusal`] says
+    /// why.
     pub fn set_memo(&mut self, mode: MemoMode) {
         self.memo = None;
+        self.memo_refusal = None;
         if mode == MemoMode::Off {
             return;
         }
-        let Some(key_len) = self.app.id().memo_key_len() else {
-            return;
-        };
+        match self.memo_key_len() {
+            Ok(key_len) => {
+                self.memo = Some(MemoLayer {
+                    mode,
+                    cache: MemoCache::new(),
+                    key_len,
+                    key: MemoKey::default(),
+                })
+            }
+            Err(refusal) => self.memo_refusal = Some(refusal),
+        }
+    }
+
+    /// The memo key length of the application if it may be memoized, or
+    /// why not.
+    fn memo_key_len(&self) -> Result<usize, MemoRefusal> {
+        let key_len = self.app.id().memo_key_len().ok_or(MemoRefusal::NoKey)?;
         let analysis = npsim::analyze_writes(
             self.app.image().program(),
             &self.map,
             self.app.struct_base(),
         );
-        if !analysis.memoizable || analysis.sys_codes.contains(&sys::WRITE) {
-            return;
+        if let Some(violation) = analysis.violations.into_iter().next() {
+            return Err(MemoRefusal::UnsafeStore(violation));
         }
-        self.memo = Some(MemoLayer {
-            mode,
-            cache: MemoCache::new(),
-            key_len,
-            key_buf: Vec::with_capacity(key_len + 4),
-        });
+        if analysis.sys_codes.contains(&sys::WRITE) {
+            return Err(MemoRefusal::WritesPackets);
+        }
+        Ok(key_len)
+    }
+
+    /// Why the last [`PacketBench::set_memo`] left memoization off
+    /// although a mode other than [`MemoMode::Off`] was asked for.
+    pub fn memo_refusal(&self) -> Option<&MemoRefusal> {
+        self.memo_refusal.as_ref()
     }
 
     /// Whether memoization is active (mode not `Off` and the application
@@ -412,10 +481,11 @@ impl PacketBench {
         }
     }
 
-    /// Builds the memo key for `l3` and, in `On` mode, applies a cached
-    /// result. Returns `true` when the packet was served from the cache
-    /// (simulation must be skipped). In `Check` mode (and on a miss) the
-    /// key is left in the layer's buffer for [`PacketBench::memo_post`].
+    /// Builds and hashes the memo key for `l3` and, in `On` mode, applies
+    /// a cached result. Returns `true` when the packet was served from the
+    /// cache (simulation must be skipped). In `Check` mode (and on a miss)
+    /// the key and its hash are left in the layer for
+    /// [`PacketBench::memo_post`].
     fn memo_pre(&mut self, l3: &[u8], detail: Detail, record: &mut PacketRecord) -> bool {
         if detail != Detail::counts() {
             return false;
@@ -423,18 +493,15 @@ impl PacketBench {
         let Some(layer) = self.memo.as_mut() else {
             return false;
         };
-        layer.key_buf.clear();
+        let len = (l3.len() as u32).to_le_bytes();
         layer
-            .key_buf
-            .extend_from_slice(&(l3.len() as u32).to_le_bytes());
-        layer
-            .key_buf
-            .extend_from_slice(&l3[..layer.key_len.min(l3.len())]);
+            .key
+            .assign(&[&len, &l3[..layer.key_len.min(l3.len())]]);
         if layer.mode != MemoMode::On {
             return false;
         }
-        let MemoLayer { cache, key_buf, .. } = layer;
-        if let Some(entry) = cache.lookup(key_buf) {
+        let MemoLayer { cache, key, .. } = layer;
+        if let Some(entry) = cache.lookup(key) {
             entry.apply(record);
             self.packets_processed += 1;
             true
@@ -453,15 +520,12 @@ impl PacketBench {
             return Ok(());
         };
         let MemoLayer {
-            mode,
-            cache,
-            key_buf,
-            ..
+            mode, cache, key, ..
         } = layer;
         match mode {
             MemoMode::On => {}
             MemoMode::Check => {
-                if let Some(entry) = cache.lookup(key_buf) {
+                if let Some(entry) = cache.lookup(key) {
                     return match entry.divergence_from(record) {
                         Some(what) => Err(BenchError::MemoMismatch { what }),
                         None => Ok(()),
@@ -471,7 +535,7 @@ impl PacketBench {
             MemoMode::Off => return Ok(()),
         }
         cache.insert_with(
-            key_buf,
+            key,
             || MemoEntry::from_record(record),
             |entry| entry.overwrite_from(record),
         );
@@ -1070,6 +1134,16 @@ mod memo_tests {
             b.set_memo(MemoMode::On);
             let want = matches!(id, AppId::Ipv4Radix | AppId::Ipv4Trie);
             assert_eq!(b.memo_active(), want, "{id:?}");
+            // Refused apps say why; the reason names the first vetoed
+            // store when there is one.
+            match (id, b.memo_refusal()) {
+                (AppId::Ipv4Radix | AppId::Ipv4Trie, None) => {}
+                (AppId::FlowClass | AppId::IpsecEnc, Some(MemoRefusal::NoKey)) => {}
+                (AppId::Tsa, Some(MemoRefusal::UnsafeStore(v))) => {
+                    assert!(v.contains("statically unresolvable"), "{v}")
+                }
+                (id, refusal) => panic!("{id:?}: unexpected refusal {refusal:?}"),
+            }
             if !want {
                 // Bypassing apps never touch the cache.
                 let p = SyntheticTrace::new(TraceProfile::mra(), 5).next_packet();
@@ -1078,6 +1152,32 @@ mod memo_tests {
                 assert_eq!(b.memo_counters(), npsim::MemoCounters::default(), "{id:?}");
             }
         }
+    }
+
+    #[test]
+    fn set_memo_off_clears_a_refusal() {
+        let mut b = bench(AppId::Tsa);
+        b.set_memo(MemoMode::Check);
+        assert!(b.memo_refusal().is_some());
+        b.set_memo(MemoMode::Off);
+        assert_eq!(b.memo_refusal(), None);
+        assert!(!b.memo_active());
+    }
+
+    #[test]
+    fn zipf_traffic_rarely_evicts_a_cached_flow() {
+        // 1024 flows in 1024 four-way sets: a flow is displaced only when
+        // five or more hash to one set. A direct-mapped cache of the same
+        // 4096 slots evicted on about half of its misses here.
+        let mut b = bench(AppId::Ipv4Radix);
+        b.set_memo(MemoMode::On);
+        let mut trace = SyntheticTrace::new(TraceProfile::zipf(), 20050320);
+        for _ in 0..20_000 {
+            b.process_packet(&trace.next_packet(), Detail::counts())
+                .unwrap();
+        }
+        let c = b.memo_counters();
+        assert!(c.misses > 0 && c.evictions * 10 < c.misses, "{c:?}");
     }
 
     #[test]

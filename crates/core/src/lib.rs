@@ -57,9 +57,9 @@ pub mod stream;
 
 pub use apps::{App, AppId};
 pub use config::WorkloadConfig;
-pub use engine::{Engine, EngineRun, WorkerMetrics};
+pub use engine::{memo_refusal, Engine, EngineRun, WorkerMetrics};
 pub use error::BenchError;
-pub use framework::{Detail, MemoMode, PacketBench, PacketRecord, Verdict};
+pub use framework::{Detail, MemoMode, MemoRefusal, PacketBench, PacketRecord, Verdict};
 pub use live::{LiveConfig, LiveRun, OnFull};
 pub use profile::{run_profile, ProfileResult, ProfileSpec};
 pub use stream::{StreamConfig, StreamRun};

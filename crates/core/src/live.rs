@@ -66,7 +66,7 @@ use crate::analysis::StreamAggregate;
 use crate::apps::App;
 use crate::engine::{Engine, LaneProbe, LaneTelemetry, MonitorCounters, WorkerMetrics};
 use crate::error::BenchError;
-use crate::framework::{Detail, PacketBench, PacketRecord};
+use crate::framework::{Detail, MemoRefusal, PacketBench, PacketRecord};
 
 /// How often the in-run progress line is refreshed.
 const PROGRESS_INTERVAL: Duration = Duration::from_millis(1000);
@@ -697,6 +697,7 @@ impl Engine {
             memo_hits: memo.hits,
             memo_misses: memo.misses,
             memo_evictions: memo.evictions,
+            memo_refusal: MemoRefusal::of_worker(self.memo, bench.as_ref().map(|(b, _)| b)),
             block_bailouts: bench.as_ref().map(|(b, _)| b.block_bailouts()).unwrap_or(0),
             traces_formed: tstats.formed,
             trace_hits: tstats.hits,

@@ -92,7 +92,7 @@ use crate::analysis::StreamAggregate;
 use crate::apps::App;
 use crate::engine::{Engine, LaneProbe, LaneTelemetry, MonitorCounters, WorkerMetrics};
 use crate::error::BenchError;
-use crate::framework::{Detail, PacketBench, PacketRecord};
+use crate::framework::{Detail, MemoMode, MemoRefusal, PacketBench, PacketRecord};
 
 /// How often the in-run progress line is refreshed.
 const PROGRESS_INTERVAL: Duration = Duration::from_millis(1000);
@@ -393,7 +393,14 @@ impl Engine {
         Ok(Folded {
             aggregate,
             chunks,
-            workers: vec![stream_metrics(0, bench.as_ref(), packets, busy_ns, read)],
+            workers: vec![stream_metrics(
+                0,
+                self.memo,
+                bench.as_ref(),
+                packets,
+                busy_ns,
+                read,
+            )],
             lanes: lane
                 .into_iter()
                 .chain(reader_lane)
@@ -700,7 +707,14 @@ impl Engine {
             }
             let _ = result.push(outcome);
         }
-        let metrics = stream_metrics(worker, bench.as_ref(), packets, busy_ns, enqueued);
+        let metrics = stream_metrics(
+            worker,
+            self.memo,
+            bench.as_ref(),
+            packets,
+            busy_ns,
+            enqueued,
+        );
         (metrics, lane)
     }
 
@@ -780,11 +794,13 @@ impl Engine {
     }
 }
 
-/// A streaming worker's telemetry: its bench's memo and trace counters
-/// (zeros if it never built one) plus the driver's packet, busy-time and
+/// A streaming worker's telemetry: its bench's memo state and trace
+/// counters (zeros if it never built one; the run's memo `mode` says
+/// whether that is a refusal) plus the driver's packet, busy-time and
 /// enqueued counts. `idle_ns` is set once the run's wall time is known.
 fn stream_metrics(
     worker: usize,
+    mode: MemoMode,
     bench: Option<&PacketBench>,
     packets: u64,
     busy_ns: u64,
@@ -801,6 +817,7 @@ fn stream_metrics(
         memo_hits: memo.hits,
         memo_misses: memo.misses,
         memo_evictions: memo.evictions,
+        memo_refusal: MemoRefusal::of_worker(mode, bench),
         block_bailouts: bench.map_or(0, |b| b.block_bailouts()),
         traces_formed: tstats.formed,
         trace_hits: tstats.hits,

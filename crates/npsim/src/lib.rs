@@ -80,7 +80,7 @@ pub use cpu::{
 pub use error::SimError;
 pub use isa::{reg, Inst, Op, Reg};
 pub use mem::{AccessKind, MemEvent, Memory, MemoryMap, Region};
-pub use memo::{analyze_writes, MemoCache, MemoCounters, WriteAnalysis};
+pub use memo::{analyze_writes, MemoCache, MemoCounters, MemoKey, WriteAnalysis};
 pub use obs::{NullObserver, Observer};
 pub use trace::{TraceParams, TraceStats};
 

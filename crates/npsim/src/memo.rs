@@ -14,10 +14,14 @@
 //! that fail the proof (or that declare no memo key at all) simply bypass
 //! the cache; nothing is trusted from annotations.
 //!
-//! The cache itself ([`MemoCache`]) is deliberately simple: direct-mapped
-//! over a power-of-two slot array with an FNV-1a hash, so behaviour is
-//! deterministic for a given packet sequence — a requirement for the
-//! byte-stable metrics exports and the conformance legs that replay runs.
+//! The cache itself ([`MemoCache`]) is 4-way set-associative with
+//! least-recently-used replacement: a key hashes (once, to a
+//! [`MemoKey`]) to a set and may live in any of its [`WAYS`] slots, so a
+//! hot key is only displaced when four other keys of its set were used
+//! more recently. Recency is a use counter advanced by hits and installs,
+//! not a clock, so contents and counters are a pure function of the key
+//! sequence — a requirement for the byte-stable metrics exports and the
+//! conformance legs that replay runs.
 
 use std::fmt;
 
@@ -28,6 +32,10 @@ use crate::mem::{MemoryMap, Region};
 /// Default number of slots in a [`MemoCache`] (per worker).
 pub const DEFAULT_MEMO_SLOTS: usize = 4096;
 
+/// Slots (ways) per set of a [`MemoCache`]: a key may live in any of the
+/// `WAYS` slots of the set its hash picks.
+pub const WAYS: usize = 4;
+
 /// Hit/miss/eviction counters of a [`MemoCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoCounters {
@@ -35,26 +43,72 @@ pub struct MemoCounters {
     pub hits: u64,
     /// Lookups that found no matching key.
     pub misses: u64,
-    /// Inserts that displaced a different key from its slot.
+    /// Installs that displaced their set's least recently used key.
     pub evictions: u64,
 }
 
+/// A memo key: its bytes and their hash, computed once whenever the bytes
+/// change. A lookup and the install that follows a miss share that one
+/// hash, and since the bytes are private no caller can install a key
+/// under a stale one.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MemoKey {
+    bytes: Vec<u8>,
+    hash: u64,
+}
+
+impl MemoKey {
+    /// Rebuilds the key in place from `parts`, concatenated (reusing its
+    /// buffer), and hashes it.
+    pub fn assign(&mut self, parts: &[&[u8]]) {
+        self.bytes.clear();
+        for part in parts {
+            self.bytes.extend_from_slice(part);
+        }
+        self.hash = hash_key(&self.bytes);
+    }
+}
+
+/// One way's tag: its key's hash and the use count of its last hit or
+/// install. A `last_use` of 0 marks an empty way (use counts start at 1),
+/// so the least recently used way of a set is an empty one while any is.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tag {
+    hash: u64,
+    last_use: u64,
+}
+
+/// The tags of one set, in one cache line: a probe compares four hashes
+/// and touches a key only when its hash matches.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(align(64))]
+struct SetTags([Tag; WAYS]);
+
 #[derive(Debug)]
-struct Slot<V> {
+struct Entry<V> {
     key: Vec<u8>,
     value: V,
 }
 
-/// A deterministic, fixed-capacity, direct-mapped memoization cache.
+/// A deterministic, fixed-capacity, 4-way set-associative memoization
+/// cache with least-recently-used replacement.
 ///
-/// Collisions overwrite (counted as evictions); there is no probing and no
-/// recency state, so a given key sequence always produces the same hit
-/// pattern regardless of timing — the property that keeps memoized runs
-/// reproducible and the metrics export byte-stable.
+/// Recency is a per-cache use counter that hits and installs advance, so
+/// a given key sequence always produces the same contents and the same
+/// hit/miss/eviction counts regardless of timing — the property that
+/// keeps memoized runs reproducible and the metrics export byte-stable.
+/// Probing is bounded by [`WAYS`]: keys crafted to share a set can at
+/// worst force misses.
 #[derive(Debug)]
 pub struct MemoCache<V> {
-    slots: Vec<Option<Slot<V>>>,
-    mask: u64,
+    /// The tags of every set, indexed by set.
+    tags: Vec<SetTags>,
+    /// `WAYS` slots per set, set `s` at `s * WAYS`; a slot is `Some`
+    /// exactly when its tag's `last_use` is non-zero.
+    entries: Vec<Option<Entry<V>>>,
+    set_mask: u64,
+    /// The use counter: the count of hits and installs so far.
+    uses: u64,
     counters: MemoCounters,
 }
 
@@ -64,32 +118,35 @@ impl<V> MemoCache<V> {
         MemoCache::with_slots(DEFAULT_MEMO_SLOTS)
     }
 
-    /// A cache with at least `slots` slots (rounded up to a power of two).
+    /// A cache with at least `slots` slots, rounded up to a power-of-two
+    /// number of full sets (so at least one set of [`WAYS`] slots).
     pub fn with_slots(slots: usize) -> MemoCache<V> {
-        let n = slots.max(1).next_power_of_two();
+        let sets = slots.div_ceil(WAYS).max(1).next_power_of_two();
         MemoCache {
-            slots: (0..n).map(|_| None).collect(),
-            mask: (n - 1) as u64,
+            tags: vec![SetTags::default(); sets],
+            entries: (0..sets * WAYS).map(|_| None).collect(),
+            set_mask: (sets - 1) as u64,
+            uses: 0,
             counters: MemoCounters::default(),
         }
     }
 
-    /// Looks `key` up, counting a hit or a miss.
-    pub fn lookup(&mut self, key: &[u8]) -> Option<&V> {
-        let index = (fnv1a(key) & self.mask) as usize;
-        let hit = matches!(&self.slots[index], Some(s) if s.key == key);
-        if hit {
-            self.counters.hits += 1;
-            self.slots[index].as_ref().map(|s| &s.value)
-        } else {
+    /// Looks `key` up, counting a hit or a miss. A hit makes the key its
+    /// set's most recently used.
+    pub fn lookup(&mut self, key: &MemoKey) -> Option<&V> {
+        let Some(slot) = self.find(key) else {
             self.counters.misses += 1;
-            None
-        }
+            return None;
+        };
+        self.counters.hits += 1;
+        self.touch(slot, key.hash);
+        self.entries[slot].as_ref().map(|e| &e.value)
     }
 
-    /// Installs `value` under `key`, displacing any different key that
-    /// hashed to the same slot (counted as an eviction).
-    pub fn insert(&mut self, key: &[u8], value: V) {
+    /// Installs `value` under `key`, in the slot already holding `key`,
+    /// else in its set's least recently used slot (displacing a key there
+    /// counts as an eviction).
+    pub fn insert(&mut self, key: &MemoKey, value: V) {
         match self.claim(key) {
             Ok(slot) => *slot = value,
             Err(empty) => self.fill(empty, key, value),
@@ -102,7 +159,7 @@ impl<V> MemoCache<V> {
     /// nothing; only an empty slot takes a fresh value from `make`.
     pub fn insert_with(
         &mut self,
-        key: &[u8],
+        key: &MemoKey,
         make: impl FnOnce() -> V,
         overwrite: impl FnOnce(&mut V),
     ) {
@@ -112,25 +169,67 @@ impl<V> MemoCache<V> {
         }
     }
 
-    /// The value in `key`'s slot, rekeyed to `key` (displacing a
-    /// different key counts as an eviction), or the slot's index when it
-    /// is empty.
-    fn claim(&mut self, key: &[u8]) -> Result<&mut V, usize> {
-        let index = (fnv1a(key) & self.mask) as usize;
-        let Some(slot) = self.slots[index].as_mut() else {
-            return Err(index);
-        };
-        if slot.key != key {
-            self.counters.evictions += 1;
-            slot.key.clear();
-            slot.key.extend_from_slice(key);
-        }
-        Ok(&mut slot.value)
+    /// The first slot of `key`'s set.
+    fn set_base(&self, key: &MemoKey) -> usize {
+        (key.hash & self.set_mask) as usize * WAYS
     }
 
-    fn fill(&mut self, index: usize, key: &[u8], value: V) {
-        self.slots[index] = Some(Slot {
-            key: key.to_vec(),
+    /// The slot holding `key`, if it is cached.
+    fn find(&self, key: &MemoKey) -> Option<usize> {
+        let base = self.set_base(key);
+        let tags = &self.tags[base / WAYS].0;
+        (0..WAYS)
+            .find(|&way| {
+                let tag = tags[way];
+                tag.last_use != 0
+                    && tag.hash == key.hash
+                    && self.entries[base + way]
+                        .as_ref()
+                        .is_some_and(|e| e.key == key.bytes)
+            })
+            .map(|way| base + way)
+    }
+
+    /// Marks `slot` as its set's most recently used, holding `hash`.
+    fn touch(&mut self, slot: usize, hash: u64) {
+        self.uses += 1;
+        self.tags[slot / WAYS].0[slot % WAYS] = Tag {
+            hash,
+            last_use: self.uses,
+        };
+    }
+
+    /// The value in the slot `key` is installed in, rekeyed to `key`, or
+    /// that slot's index when it is empty. The slot is the one already
+    /// holding `key`, else the least recently used of its set (displacing
+    /// a key counts as an eviction); either way it becomes the most
+    /// recently used.
+    fn claim(&mut self, key: &MemoKey) -> Result<&mut V, usize> {
+        let slot = match self.find(key) {
+            Some(slot) => slot,
+            None => {
+                let base = self.set_base(key);
+                let tags = &self.tags[base / WAYS].0;
+                let lru = (0..WAYS).min_by_key(|&way| tags[way].last_use);
+                let slot = base + lru.expect("a set has ways");
+                if let Some(entry) = &mut self.entries[slot] {
+                    self.counters.evictions += 1;
+                    entry.key.clear();
+                    entry.key.extend_from_slice(&key.bytes);
+                }
+                slot
+            }
+        };
+        self.touch(slot, key.hash);
+        match &mut self.entries[slot] {
+            Some(entry) => Ok(&mut entry.value),
+            None => Err(slot),
+        }
+    }
+
+    fn fill(&mut self, slot: usize, key: &MemoKey, value: V) {
+        self.entries[slot] = Some(Entry {
+            key: key.bytes.clone(),
             value,
         });
     }
@@ -142,19 +241,19 @@ impl<V> MemoCache<V> {
 
     /// The number of occupied slots.
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.entries.iter().filter(|e| e.is_some()).count()
     }
 
     /// Whether no entry is cached.
     pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(|s| s.is_none())
+        self.entries.iter().all(|e| e.is_none())
     }
 
     /// Mutable access to every cached value, in slot order. Exists so
     /// fault-injection tests can corrupt entries and prove that the
     /// check mode detects the corruption.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.slots.iter_mut().flatten().map(|s| &mut s.value)
+        self.entries.iter_mut().flatten().map(|e| &mut e.value)
     }
 }
 
@@ -164,14 +263,30 @@ impl<V> Default for MemoCache<V> {
     }
 }
 
-/// FNV-1a over the key bytes — cheap, deterministic, and dependency-free.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// The key hash: the key length, then the key eight bytes at a time (a
+/// short tail zero-padded), each word xored in and multiplied by an odd
+/// constant, then murmur3's 64-bit finalizer. A multiply carries a
+/// word's bits only upward, so without the final avalanche the low bits
+/// that pick the set would depend only on each word's low bytes.
+fn hash_key(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut hash = (bytes.len() as u64).wrapping_mul(K);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        hash = (hash ^ word).wrapping_mul(K);
     }
-    hash
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        hash = (hash ^ u64::from_le_bytes(word)).wrapping_mul(K);
+    }
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    hash ^ (hash >> 33)
 }
 
 /// Verdict of the static write-region analysis: whether every store the
@@ -548,48 +663,64 @@ mod tests {
         MemoryMap::default()
     }
 
+    fn key(bytes: &[u8]) -> MemoKey {
+        let mut key = MemoKey::default();
+        key.assign(&[bytes]);
+        key
+    }
+
+    /// `n` distinct keys that all hash to set 0 of a cache with `sets`
+    /// sets.
+    fn keys_in_set_zero(sets: u64, n: usize) -> Vec<MemoKey> {
+        (0u32..)
+            .map(|i| key(&i.to_le_bytes()))
+            .filter(|k| k.hash & (sets - 1) == 0)
+            .take(n)
+            .collect()
+    }
+
     #[test]
     fn cache_hits_misses_and_evictions_are_counted() {
         let mut cache: MemoCache<u32> = MemoCache::with_slots(2);
         assert!(cache.is_empty());
-        assert_eq!(cache.lookup(b"alpha"), None);
-        cache.insert(b"alpha", 1);
-        assert_eq!(cache.lookup(b"alpha"), Some(&1));
-        assert_eq!(cache.lookup(b"beta"), None);
-        cache.insert(b"beta", 2);
-        assert_eq!(cache.len(), cache.slots.iter().flatten().count());
+        assert_eq!(cache.lookup(&key(b"alpha")), None);
+        cache.insert(&key(b"alpha"), 1);
+        assert_eq!(cache.lookup(&key(b"alpha")), Some(&1));
+        assert_eq!(cache.lookup(&key(b"beta")), None);
+        cache.insert(&key(b"beta"), 2);
+        assert_eq!(cache.len(), cache.entries.iter().flatten().count());
         let c = cache.counters();
         assert_eq!((c.hits, c.misses), (1, 2));
-        // Force an eviction: with 2 slots, some pair of distinct keys must
-        // collide eventually.
+        // Force an eviction: 2 slots round up to one set of 4 ways, so
+        // the fifth distinct key displaces one.
         let mut evicted = false;
         for i in 0..16u8 {
-            cache.insert(&[i], u32::from(i));
+            cache.insert(&key(&[i]), u32::from(i));
             if cache.counters().evictions > 0 {
                 evicted = true;
                 break;
             }
         }
-        assert!(evicted, "16 keys into 2 slots must evict");
+        assert!(evicted, "16 keys into 4 slots must evict");
     }
 
     #[test]
     fn insert_with_overwrites_in_place_and_counts_like_insert() {
-        let keys: Vec<[u8; 1]> = (0..40u8).map(|i| [i % 11]).collect();
+        let keys: Vec<MemoKey> = (0..40u8).map(|i| key(&[i % 11])).collect();
         let mut moved: MemoCache<Vec<u8>> = MemoCache::with_slots(4);
         let mut in_place: MemoCache<Vec<u8>> = MemoCache::with_slots(4);
         let mut made = 0;
         for key in &keys {
-            moved.insert(key, key.to_vec());
+            moved.insert(key, key.bytes.clone());
             in_place.insert_with(
                 key,
                 || {
                     made += 1;
-                    key.to_vec()
+                    key.bytes.clone()
                 },
                 |v| {
                     v.clear();
-                    v.extend_from_slice(key);
+                    v.extend_from_slice(&key.bytes);
                 },
             );
         }
@@ -608,7 +739,7 @@ mod tests {
         let run = || {
             let mut cache: MemoCache<u64> = MemoCache::with_slots(8);
             for i in 0..100u64 {
-                let key = (i % 13).to_le_bytes();
+                let key = key(&(i % 13).to_le_bytes());
                 if cache.lookup(&key).is_none() {
                     cache.insert(&key, i);
                 }
@@ -616,6 +747,99 @@ mod tests {
             cache.counters()
         };
         assert_eq!(run(), run());
+        // A longer sequence over more keys than slots, with LRU
+        // replacement at work, repeats exactly too.
+        let churn = || {
+            let mut cache: MemoCache<u64> = MemoCache::with_slots(64);
+            for i in 0..5000u64 {
+                let key = key(&((i * i + 7 * i) % 97).to_le_bytes());
+                if cache.lookup(&key).is_none() {
+                    cache.insert(&key, i);
+                }
+            }
+            cache.counters()
+        };
+        let counters = churn();
+        assert!(counters.evictions > 0, "{counters:?}");
+        assert_eq!(counters, churn());
+    }
+
+    #[test]
+    fn four_keys_in_one_set_coexist() {
+        let mut cache: MemoCache<usize> = MemoCache::with_slots(64);
+        let keys = keys_in_set_zero(64 / WAYS as u64, WAYS);
+        for (i, key) in keys.iter().enumerate() {
+            cache.insert(key, i);
+        }
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(cache.lookup(key), Some(&i));
+        }
+        let c = cache.counters();
+        assert_eq!((c.hits, c.misses, c.evictions), (WAYS as u64, 0, 0));
+    }
+
+    #[test]
+    fn a_fifth_key_evicts_the_least_recently_used() {
+        let mut cache: MemoCache<usize> = MemoCache::with_slots(64);
+        let keys = keys_in_set_zero(64 / WAYS as u64, WAYS + 1);
+        for (i, key) in keys[..WAYS].iter().enumerate() {
+            cache.insert(key, i);
+        }
+        // Touch every resident key but the second: it becomes the LRU.
+        for i in [0, 2, 3] {
+            assert_eq!(cache.lookup(&keys[i]), Some(&i));
+        }
+        cache.insert(&keys[WAYS], WAYS);
+        assert_eq!(cache.counters().evictions, 1);
+        assert_eq!(cache.lookup(&keys[1]), None);
+        for i in [0, 2, 3, WAYS] {
+            assert_eq!(cache.lookup(&keys[i]), Some(&i), "key {i}");
+        }
+        assert_eq!(cache.len(), WAYS);
+    }
+
+    #[test]
+    fn with_slots_rounds_up_to_one_full_set() {
+        for slots in [0, 1, 2, 3, 4] {
+            let cache: MemoCache<u8> = MemoCache::with_slots(slots);
+            assert_eq!((cache.entries.len(), cache.tags.len()), (WAYS, 1));
+        }
+        let cache: MemoCache<u8> = MemoCache::with_slots(6);
+        assert_eq!((cache.entries.len(), cache.tags.len()), (2 * WAYS, 2));
+        let cache: MemoCache<u8> = MemoCache::new();
+        assert_eq!(cache.entries.len(), DEFAULT_MEMO_SLOTS);
+        assert_eq!(cache.tags.len(), DEFAULT_MEMO_SLOTS / WAYS);
+    }
+
+    #[test]
+    fn keys_differing_in_one_high_byte_spread_over_sets() {
+        // Only byte 7 — the top byte of the key's one word — differs. A
+        // multiply alone would leave it out of the low bits entirely and
+        // put all 256 keys in one set.
+        let sets = (DEFAULT_MEMO_SLOTS / WAYS) as u64;
+        let mut used = std::collections::BTreeSet::new();
+        for b in 0..=255u8 {
+            used.insert(key(&[1, 2, 3, 4, 5, 6, 7, b]).hash & (sets - 1));
+        }
+        // 256 keys thrown at 1024 sets at random fill ~226 of them.
+        assert!(used.len() > 200, "{} sets", used.len());
+        // The same holds for a byte in the middle of a longer key.
+        let mut used = std::collections::BTreeSet::new();
+        for b in 0..=255u8 {
+            let mut bytes = [0u8; 64];
+            bytes[39] = b;
+            used.insert(key(&bytes).hash & (sets - 1));
+        }
+        assert!(used.len() > 200, "{} sets", used.len());
+    }
+
+    #[test]
+    fn key_parts_concatenate_and_rehash() {
+        let mut k = key(b"abc");
+        k.assign(&[b"ab", b"cd"]);
+        assert_eq!(k, key(b"abcd"));
+        // The length is hashed, so a zero-padded tail does not alias.
+        assert_ne!(key(b"abc").hash, key(b"abc\0").hash);
     }
 
     #[test]

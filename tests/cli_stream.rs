@@ -1,6 +1,6 @@
 //! End-to-end tests of `pb stream`: stdout byte-identity with `pb run`
-//! across thread counts and chunk sizes, and usage-error handling
-//! (exit code 2, message on stderr, nothing on stdout).
+//! across thread counts and chunk sizes, usage-error handling (exit code
+//! 2, message on stderr, nothing on stdout), and the stderr memo line.
 
 use std::process::{Command, Output};
 
@@ -169,6 +169,73 @@ fn explicit_n_caps_the_source() {
     ]);
     assert!(stream.status.success(), "{}", stderr(&stream));
     assert_eq!(stdout(&stream), stdout(&run));
+}
+
+/// The `memo:` line of a run's stderr (empty if there is none).
+fn memo_line(out: &Output) -> String {
+    stderr(out)
+        .lines()
+        .find(|l| l.starts_with("memo:"))
+        .unwrap_or_default()
+        .to_string()
+}
+
+#[test]
+fn memo_line_says_an_empty_run_had_no_packets() {
+    // radix is memoizable, but with no packets no worker built a bench,
+    // so nothing was decided.
+    for threads in ["1", "3"] {
+        let out = pb(&[
+            "run",
+            "--app",
+            "radix",
+            "--memo",
+            "on",
+            "-n",
+            "0",
+            "--threads",
+            threads,
+        ]);
+        assert!(out.status.success(), "{}", stderr(&out));
+        let line = memo_line(&out);
+        assert!(
+            line.ends_with("inactive (no packets)"),
+            "threads {threads}: {line:?}"
+        );
+    }
+}
+
+#[test]
+fn memo_line_names_why_an_app_is_refused() {
+    // tsa declares a key, but the write guard vetoes a store; the line
+    // names that store.
+    let tsa = pb(&[
+        "run",
+        "--app",
+        "tsa",
+        "--trace",
+        "zipf",
+        "--memo",
+        "on",
+        "-n",
+        "50",
+        "--threads",
+        "1",
+    ]);
+    assert!(tsa.status.success(), "{}", stderr(&tsa));
+    let line = memo_line(&tsa);
+    assert!(
+        line.contains("inactive (write guard: store `")
+            && line.ends_with("targets statically unresolvable memory)"),
+        "{line:?}"
+    );
+    let flow = pb(&["stream", "flow", "synth:zipf:packets=50", "--memo", "check"]);
+    assert!(flow.status.success(), "{}", stderr(&flow));
+    let line = memo_line(&flow);
+    assert!(
+        line.ends_with("inactive (the application declares no memo key)"),
+        "{line:?}"
+    );
 }
 
 /// Asserts a usage failure: exit 2, empty stdout, the offending message

@@ -774,22 +774,7 @@ fn live_metrics_doc(id: AppId, source: &str, run: &packetbench::LiveRun) -> npob
         workers: run
             .workers
             .iter()
-            .map(|w| npobs::export::WorkerStat {
-                worker: w.worker,
-                packets: w.packets,
-                busy_ns: w.busy_ns,
-                idle_ns: w.idle_ns,
-                queue_depth: w.queue_depth,
-                memo_hits: w.memo_hits,
-                memo_misses: w.memo_misses,
-                memo_evictions: w.memo_evictions,
-                block_bailouts: w.block_bailouts,
-                traces_formed: w.traces_formed,
-                trace_hits: w.trace_hits,
-                trace_guard_exits: w.trace_guard_exits,
-                trace_declines: w.trace_declines,
-                ring_dropped: w.ring_dropped,
-            })
+            .map(npobs::export::WorkerStat::from)
             .collect(),
         ring: Some(npobs::RingDoc {
             produced: run.produced,

@@ -1,6 +1,6 @@
-//! The parallel trace engine: fans a packet trace over sharded worker
-//! threads, each owning a private [`PacketBench`], and merges the results
-//! back into trace order.
+//! The batch trace engine: fans a packet trace over sharded workers,
+//! each a `Lane` owning a private [`PacketBench`](crate::PacketBench),
+//! and merges their records back into trace order.
 //!
 //! ## Determinism
 //!
@@ -14,14 +14,14 @@
 //!   packet's 5-tuple. Every flow that could share a hash chain lands on
 //!   the same worker, so each worker's chains evolve exactly as the
 //!   serial run's chains do and per-flow counts stay exact.
-//! * Workers process their packets in trace order and report
-//!   `(packet_index, record, emitted packets)` tuples; the engine
-//!   reassembles them into trace order, so records and output packets are
-//!   independent of scheduling. Output-packet timestamps come from the
-//!   global trace position ([`PacketBench::process_packet_at`]), not from
-//!   worker-local counters.
-//! * `threads <= 1` takes the exact serial path — one `PacketBench`, no
-//!   threads spawned.
+//! * Workers process their packets in trace order and keep each packet's
+//!   record and emitted packets; the engine reassembles them into trace
+//!   order, so records and output packets are independent of scheduling.
+//!   Output-packet timestamps come from the global trace position
+//!   ([`crate::PacketBench::process_packet_at`]), not from worker-local
+//!   counters.
+//! * `threads <= 1` runs its single shard through the same worker body,
+//!   inline on the calling thread: no worker thread is spawned.
 //!
 //! Known limits of parallel bit-identity (counts detail is always exact):
 //! with `Detail::uarch` the Flow Classification cache statistics can
@@ -29,67 +29,20 @@
 //! table into its own memory; and if the flow table overflows capacity,
 //! overflow ordering is per-worker. The default workloads do neither.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nettrace::Packet;
-use npobs::timeline::{
-    Counters, LogicalSeries, Sample, SpanLog, Stage, Timeline, TimelineSpec, WallSampler,
-};
+use npobs::export::WorkerStat;
+use npobs::timeline::{SpanLog, Stage, Timeline, TimelineSpec, WallSampler};
 use npobs::StatusLine;
 use npsim::{NullObserver, Observer};
 
-use crate::apps::{App, AppId};
+use crate::apps::AppId;
 use crate::config::WorkloadConfig;
 use crate::error::BenchError;
-use crate::framework::{Detail, MemoMode, MemoRefusal, PacketBench, PacketRecord};
-
-/// How often the in-run progress line is refreshed.
-const PROGRESS_INTERVAL: Duration = Duration::from_millis(1000);
-
-/// Shared counters the monitor thread reads to compose the progress and
-/// `--watch` lines. Workers bump them with `Relaxed` increments — they
-/// order nothing and are only touched when monitoring is on.
-#[derive(Default)]
-pub(crate) struct MonitorCounters {
-    /// Packets fully processed so far.
-    pub(crate) processed: AtomicU64,
-    /// Memoization cache hits so far.
-    pub(crate) memo_hits: AtomicU64,
-    /// Memoization cache lookups (hits + misses) so far.
-    pub(crate) memo_lookups: AtomicU64,
-    /// Complete trace trips so far.
-    pub(crate) trace_hits: AtomicU64,
-    /// Mispredicted trace guards so far.
-    pub(crate) trace_exits: AtomicU64,
-    /// Packets dropped at ring ingestion so far (live mode only).
-    pub(crate) ring_dropped: AtomicU64,
-}
-
-impl MonitorCounters {
-    /// The ` memo NN%` suffix for a status line, or empty before the
-    /// first cache lookup (memo off, or not warmed up yet).
-    pub(crate) fn memo_suffix(&self) -> String {
-        let lookups = self.memo_lookups.load(Ordering::Relaxed);
-        if lookups == 0 {
-            return String::new();
-        }
-        let hits = self.memo_hits.load(Ordering::Relaxed);
-        format!(" memo {:.0}%", hits as f64 / lookups as f64 * 100.0)
-    }
-
-    /// The ` trace NN/NN` (trips/guard-exits) suffix for a status line,
-    /// or empty until the first complete trip.
-    pub(crate) fn trace_suffix(&self) -> String {
-        let hits = self.trace_hits.load(Ordering::Relaxed);
-        if hits == 0 {
-            return String::new();
-        }
-        let exits = self.trace_exits.load(Ordering::Relaxed);
-        format!(" trace {hits}/{exits}")
-    }
-}
+use crate::framework::{Detail, MemoMode, MemoRefusal, PacketRecord};
+use crate::lane::{assemble_timeline, settle_idle, Lane, LaneTelemetry, MonitorCounters};
 
 /// A parallel (or serial) runner for one application over a packet trace.
 #[derive(Debug, Clone)]
@@ -132,9 +85,9 @@ impl Engine {
         self
     }
 
-    /// Enables a periodic `processed/total` progress line on stderr
-    /// during parallel runs. Off by default; when off, no progress
-    /// counter is touched on the packet path.
+    /// Enables a status line on stderr about once a second, on every
+    /// driver. Off by default; when off, no progress counter is touched
+    /// on the packet path.
     pub fn progress(mut self, progress: bool) -> Engine {
         self.progress = progress;
         self
@@ -142,7 +95,7 @@ impl Engine {
 
     /// Sets the flow-memoization mode for every worker's `PacketBench`.
     /// Memoization only ever engages for applications the static write
-    /// guard proves safe ([`PacketBench::set_memo`]); for the rest this
+    /// guard proves safe ([`crate::PacketBench::set_memo`]); for the rest this
     /// is a no-op, so `MemoMode::On` is always sound to request.
     pub fn memo(mut self, memo: MemoMode) -> Engine {
         self.memo = memo;
@@ -169,9 +122,9 @@ impl Engine {
         self
     }
 
-    /// Enables the live `--watch` status refresh on stderr: a single
-    /// in-place line (packets, percent, pps) redrawn about once a second.
-    /// Implies the same shared counter `--progress` uses.
+    /// Enables the live `--watch` status refresh on stderr: the
+    /// `--progress` status line (packets, percent when known, pps, memo,
+    /// trace and drop counters) redrawn in place about once a second.
     pub fn watch(mut self, watch: bool) -> Engine {
         self.watch = watch;
         self
@@ -260,159 +213,108 @@ impl Engine {
         };
         let threads = threads.clamp(1, packets.len().max(1));
         let start = Instant::now();
-        if threads == 1 {
-            return self.run_serial(packets, detail, start, make_obs());
-        }
+        self.monitored(Some(packets.len() as u64), start, |monitor| {
+            self.batch(packets, detail, threads, start, make_obs, monitor)
+        })
+    }
 
-        let assignments: Vec<usize> = packets
+    /// The batch driver: shard `packets` over `threads` lanes (one runs
+    /// inline on the calling thread), keep every record and emitted
+    /// packet, and merge them back into trace order.
+    pub(crate) fn batch<O, F>(
+        &self,
+        packets: &[Packet],
+        detail: Detail,
+        threads: usize,
+        start: Instant,
+        make_obs: F,
+        monitor: Option<&MonitorCounters>,
+    ) -> Result<(EngineRun, Vec<O>), BenchError>
+    where
+        O: Observer + Send,
+        F: Fn() -> O + Sync,
+    {
+        let assignment: Vec<usize> = packets
             .iter()
             .enumerate()
             .map(|(i, p)| self.shard_of(i, p, threads))
             .collect();
-
-        type Batch = Vec<(usize, PacketRecord, Vec<Packet>)>;
-        type WorkerResult<O> =
-            Result<(Batch, O, WorkerMetrics, Option<LaneTelemetry>), (usize, BenchError)>;
-        let (tx, rx) = mpsc::channel::<WorkerResult<O>>();
-        let mut slots: Vec<Option<(PacketRecord, Vec<Packet>)>> = Vec::new();
-        slots.resize_with(packets.len(), || None);
-        let mut first_error: Option<(usize, BenchError)> = None;
-        let mut observers: Vec<Option<O>> = Vec::new();
-        observers.resize_with(threads, || None);
-        let mut workers: Vec<WorkerMetrics> = (0..threads)
-            .map(|w| WorkerMetrics {
-                worker: w,
-                memo_refusal: MemoRefusal::of_worker(self.memo, None),
-                ..WorkerMetrics::default()
-            })
-            .collect();
-        let mut lanes: Vec<LaneTelemetry> = Vec::new();
-        let counters = MonitorCounters::default();
-        let done = AtomicBool::new(false);
-        let monitoring = self.progress || self.watch;
-        let status = monitoring.then(|| self.status_line());
-
-        std::thread::scope(|scope| {
-            let monitor = status.as_ref().map(|status| {
-                let counters = &counters;
-                let done = &done;
-                let total = packets.len();
-                let watch = self.watch;
-                let status = Arc::clone(status);
-                scope.spawn(move || {
-                    while !done.load(Ordering::Acquire) {
-                        std::thread::park_timeout(PROGRESS_INTERVAL);
-                        let n = counters.processed.load(Ordering::Relaxed);
-                        if done.load(Ordering::Acquire) || n == 0 {
-                            continue;
-                        }
-                        let pct = n as f64 / total.max(1) as f64 * 100.0;
-                        if watch {
-                            let pps = n as f64 / start.elapsed().as_secs_f64().max(1e-9);
-                            let memo = counters.memo_suffix();
-                            let trace = counters.trace_suffix();
-                            status.refresh(&format!(
-                                "pb: {n}/{total} packets ({pct:.1}%) {pps:.0} pps{memo}{trace}"
-                            ));
-                        } else {
-                            status.emit(&format!("pb: {n}/{total} packets ({pct:.1}%)"));
-                        }
-                    }
-                    if watch {
-                        status.finish_refresh();
-                    }
-                })
-            });
-            let counter = monitoring.then_some(&counters);
-            for (worker, stat) in workers.iter_mut().enumerate() {
-                let tx = tx.clone();
-                let indices: Vec<usize> = assignments
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &shard)| shard == worker)
-                    .map(|(i, _)| i)
+        let worker = |w: usize| {
+            let shard: Vec<usize> = (0..packets.len()).filter(|&i| assignment[i] == w).collect();
+            let mut lane = Lane::new(self, w, detail, start, monitor, make_obs());
+            let mut kept = Vec::with_capacity(shard.len());
+            let began = lane.begin();
+            for (k, &i) in shard.iter().enumerate() {
+                let mut record = PacketRecord::empty();
+                let backlog = || ((shard.len() - k - 1) as u64, 0);
+                lane.process(i as u64, &packets[i], &mut record, backlog)
+                    .map_err(|e| (i, e))?;
+                kept.push((record, lane.take_output_packets()));
+            }
+            lane.end();
+            lane.span(w as u64, began, shard.len() as u64);
+            Ok::<_, (usize, BenchError)>((kept, lane.finish(shard.len() as u64, 0)))
+        };
+        let results: Vec<_> = if threads == 1 {
+            vec![worker(0)]
+        } else {
+            std::thread::scope(|scope| {
+                let worker = &worker;
+                let handles: Vec<_> = (0..threads)
+                    .map(|w| scope.spawn(move || worker(w)))
                     .collect();
-                stat.queue_depth = indices.len() as u64;
-                if indices.is_empty() {
-                    continue;
-                }
-                let obs = make_obs();
-                scope.spawn(move || {
-                    let _ = tx.send(
-                        self.worker_run(worker, &indices, packets, detail, obs, counter, start),
-                    );
-                });
-            }
-            drop(tx);
-            for result in rx {
-                match result {
-                    Ok((batch, obs, metrics, lane)) => {
-                        for (i, record, outs) in batch {
-                            slots[i] = Some((record, outs));
-                        }
-                        let queue_depth = workers[metrics.worker].queue_depth;
-                        workers[metrics.worker] = WorkerMetrics {
-                            queue_depth,
-                            ..metrics
-                        };
-                        observers[metrics.worker] = Some(obs);
-                        lanes.extend(lane);
-                    }
-                    Err((i, e)) => {
-                        if first_error.as_ref().is_none_or(|(fi, _)| i < *fi) {
-                            first_error = Some((i, e));
-                        }
-                    }
-                }
-            }
-            done.store(true, Ordering::Release);
-            if let Some(monitor) = monitor {
-                monitor.thread().unpark();
-            }
-        });
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("batch workers never panic"))
+                    .collect()
+            })
+        };
 
-        if let Some((_, e)) = first_error {
+        // Each worker stops at its own first failure; the run reports the
+        // lowest-indexed one, the error a serial run would have hit.
+        let (done, failed): (Vec<_>, Vec<_>) = results.into_iter().partition(Result::is_ok);
+        if let Some((_, e)) = failed
+            .into_iter()
+            .filter_map(Result::err)
+            .min_by_key(|e| e.0)
+        {
             return Err(e);
+        }
+        let (mut kept, mut workers, mut lanes, mut observers) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for (records, (metrics, lane, obs)) in done.into_iter().flatten() {
+            kept.push(records.into_iter());
+            workers.push(metrics);
+            lanes.extend(lane);
+            observers.push(obs);
         }
         let merge_start = Instant::now();
         let mut records = Vec::with_capacity(packets.len());
         let mut output_packets = Vec::new();
-        for slot in slots {
-            let (record, outs) = slot.expect("every packet produced a record");
+        for &w in &assignment {
+            let (record, outs) = kept[w].next().expect("every packet produced a record");
             records.push(record);
             output_packets.extend(outs);
         }
         let merge = merge_start.elapsed();
-        let timeline = self.timeline.map(|spec| {
-            if spec.deterministic {
-                return Timeline::from_logical(
-                    lanes.into_iter().map(LaneTelemetry::into_logical).collect(),
-                );
-            }
-            // The trace-order reassembly is the engine's "merge" stage:
-            // one span on the merger lane.
-            let mut merge_log = SpanLog::new(start, spec.capacity);
-            merge_log.record(
+        // The trace-order reassembly is the engine's "merge" stage: one
+        // span on the merger lane of a wall-clock timeline.
+        if let Some(spec) = self.timeline.filter(|s| !s.deterministic) {
+            let mut log = SpanLog::new(start, spec.capacity);
+            log.record(
                 Stage::Merge,
                 0,
                 threads + 1,
                 merge_start,
                 records.len() as u64,
             );
-            let mut samplers = Vec::new();
-            let mut logs = vec![merge_log];
-            for lane in lanes {
-                if let LaneTelemetry::Wall(sampler, log) = lane {
-                    samplers.push(sampler);
-                    logs.push(log);
-                }
-            }
-            Timeline::from_wall(spec.interval, threads, samplers, logs)
-        });
-        let wall_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        for w in &mut workers {
-            w.idle_ns = wall_ns.saturating_sub(w.busy_ns);
+            lanes.push(LaneTelemetry::Wall(
+                WallSampler::new(spec, threads + 1, start),
+                log,
+            ));
         }
+        let timeline = assemble_timeline(self.timeline, threads, lanes);
+        settle_idle(&mut workers, start);
         Ok((
             EngineRun {
                 records,
@@ -423,323 +325,8 @@ impl Engine {
                 workers,
                 timeline,
             },
-            observers.into_iter().flatten().collect(),
+            observers,
         ))
-    }
-
-    fn run_serial<O: Observer>(
-        &self,
-        packets: &[Packet],
-        detail: Detail,
-        start: Instant,
-        mut obs: O,
-    ) -> Result<(EngineRun, Vec<O>), BenchError> {
-        let app = App::build(self.id, &self.config)?;
-        let mut bench = PacketBench::with_config(app, &self.config)?;
-        bench.set_memo(self.memo);
-        if let Some(params) = self.trace_params {
-            bench.set_trace_params(params);
-        }
-        let mut records = Vec::with_capacity(packets.len());
-        let mut lane = self.timeline.map(|spec| LaneTelemetry::new(spec, 0, start));
-        let mut probe = LaneProbe::default();
-        let status = self.watch.then(|| self.status_line());
-        let busy_start = Instant::now();
-        for (i, packet) in packets.iter().enumerate() {
-            let mut record = PacketRecord::empty();
-            bench.process_packet_observed_at(i as u64, packet, detail, &mut record, &mut obs)?;
-            if self.verify {
-                bench.verify_record(packet, &record)?;
-            }
-            if let Some(lane) = &mut lane {
-                probe.observe(
-                    lane,
-                    i as u64,
-                    &record,
-                    &bench,
-                    (packets.len() - i - 1) as u64,
-                    0,
-                    busy_start,
-                    0,
-                );
-            }
-            if let Some(status) = &status {
-                if i % 4096 == 4095 {
-                    let pps = (i + 1) as f64 / start.elapsed().as_secs_f64().max(1e-9);
-                    status.refresh(&format!(
-                        "pb: {}/{} packets {pps:.0} pps",
-                        i + 1,
-                        packets.len()
-                    ));
-                }
-            }
-            records.push(record);
-        }
-        if let Some(lane) = &mut lane {
-            lane.finish_exec(0, busy_start, packets.len() as u64);
-        }
-        if let Some(status) = &status {
-            status.finish_refresh();
-        }
-        let busy_ns = busy_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        let wall_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        let memo = bench.memo_counters();
-        let tstats = bench.trace_stats();
-        let workers = vec![WorkerMetrics {
-            worker: 0,
-            packets: packets.len() as u64,
-            busy_ns,
-            idle_ns: wall_ns.saturating_sub(busy_ns),
-            queue_depth: packets.len() as u64,
-            memo_hits: memo.hits,
-            memo_misses: memo.misses,
-            memo_evictions: memo.evictions,
-            memo_refusal: bench.memo_refusal().cloned(),
-            block_bailouts: bench.block_bailouts(),
-            traces_formed: tstats.formed,
-            trace_hits: tstats.hits,
-            trace_guard_exits: tstats.guard_exits,
-            trace_declines: tstats.declines,
-            ring_dropped: 0,
-        }];
-        let timeline = self.timeline.map(|spec| match lane {
-            Some(LaneTelemetry::Logical(series)) => Timeline::from_logical(vec![series]),
-            Some(LaneTelemetry::Wall(sampler, log)) => {
-                Timeline::from_wall(spec.interval, 1, vec![sampler], vec![log])
-            }
-            None => Timeline::from_logical(Vec::new()),
-        });
-        Ok((
-            EngineRun {
-                records,
-                output_packets: bench.take_output_packets(),
-                threads: 1,
-                elapsed: start.elapsed(),
-                merge: Duration::ZERO,
-                workers,
-                timeline,
-            },
-            vec![obs],
-        ))
-    }
-
-    /// One worker: a private `PacketBench`, its assigned packets in trace
-    /// order, results tagged with their trace index. Busy time is one
-    /// clock pair around the whole loop — never per packet, so telemetry
-    /// stays off the per-packet critical path (the opt-in timeline
-    /// sampler adds one increment-and-compare per packet, and snapshots
-    /// only on its interval).
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
-    fn worker_run<O: Observer>(
-        &self,
-        worker: usize,
-        indices: &[usize],
-        packets: &[Packet],
-        detail: Detail,
-        mut obs: O,
-        progress: Option<&MonitorCounters>,
-        run_start: Instant,
-    ) -> Result<
-        (
-            Vec<(usize, PacketRecord, Vec<Packet>)>,
-            O,
-            WorkerMetrics,
-            Option<LaneTelemetry>,
-        ),
-        (usize, BenchError),
-    > {
-        let first = indices.first().copied().unwrap_or(0);
-        let app = App::build(self.id, &self.config).map_err(|e| (first, e))?;
-        let mut bench = PacketBench::with_config(app, &self.config).map_err(|e| (first, e))?;
-        bench.set_memo(self.memo);
-        if let Some(params) = self.trace_params {
-            bench.set_trace_params(params);
-        }
-        let mut batch = Vec::with_capacity(indices.len());
-        let mut lane = self
-            .timeline
-            .map(|spec| LaneTelemetry::new(spec, worker, run_start));
-        let mut probe = LaneProbe::default();
-        let mut last_memo = bench.memo_counters();
-        let mut last_trace = bench.trace_stats();
-        let busy_start = Instant::now();
-        for (k, &i) in indices.iter().enumerate() {
-            let packet = &packets[i];
-            let mut record = PacketRecord::empty();
-            bench
-                .process_packet_observed_at(i as u64, packet, detail, &mut record, &mut obs)
-                .map_err(|e| (i, e))?;
-            if self.verify {
-                bench.verify_record(packet, &record).map_err(|e| (i, e))?;
-            }
-            let outs = bench.take_output_packets();
-            batch.push((i, record, outs));
-            if let Some(lane) = &mut lane {
-                probe.observe(
-                    lane,
-                    i as u64,
-                    &batch.last().expect("just pushed").1,
-                    &bench,
-                    (indices.len() - k - 1) as u64,
-                    0,
-                    busy_start,
-                    0,
-                );
-            }
-            if let Some(counters) = progress {
-                counters.processed.fetch_add(1, Ordering::Relaxed);
-                let memo = bench.memo_counters();
-                let hits = memo.hits - last_memo.hits;
-                let lookups = (memo.hits + memo.misses) - (last_memo.hits + last_memo.misses);
-                if lookups > 0 {
-                    counters.memo_hits.fetch_add(hits, Ordering::Relaxed);
-                    counters.memo_lookups.fetch_add(lookups, Ordering::Relaxed);
-                }
-                last_memo = memo;
-                let tstats = bench.trace_stats();
-                let trips = tstats.hits - last_trace.hits;
-                let exits = tstats.guard_exits - last_trace.guard_exits;
-                if trips > 0 {
-                    counters.trace_hits.fetch_add(trips, Ordering::Relaxed);
-                }
-                if exits > 0 {
-                    counters.trace_exits.fetch_add(exits, Ordering::Relaxed);
-                }
-                last_trace = tstats;
-            }
-        }
-        if let Some(lane) = &mut lane {
-            lane.finish_exec(worker as u64, busy_start, indices.len() as u64);
-        }
-        let memo = bench.memo_counters();
-        let tstats = bench.trace_stats();
-        let metrics = WorkerMetrics {
-            worker,
-            packets: indices.len() as u64,
-            busy_ns: busy_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-            idle_ns: 0,
-            queue_depth: indices.len() as u64,
-            memo_hits: memo.hits,
-            memo_misses: memo.misses,
-            memo_evictions: memo.evictions,
-            memo_refusal: bench.memo_refusal().cloned(),
-            block_bailouts: bench.block_bailouts(),
-            traces_formed: tstats.formed,
-            trace_hits: tstats.hits,
-            trace_guard_exits: tstats.guard_exits,
-            trace_declines: tstats.declines,
-            ring_dropped: 0,
-        };
-        Ok((batch, obs, metrics, lane))
-    }
-}
-
-/// One lane's in-flight telemetry: a wall-clock sampler plus span log, or
-/// a deterministic logical series. Built per worker, merged after join.
-pub(crate) enum LaneTelemetry {
-    Wall(WallSampler, SpanLog),
-    Logical(LogicalSeries),
-}
-
-impl LaneTelemetry {
-    pub(crate) fn new(spec: TimelineSpec, lane: usize, t0: Instant) -> LaneTelemetry {
-        if spec.deterministic {
-            LaneTelemetry::Logical(LogicalSeries::new(spec))
-        } else {
-            LaneTelemetry::Wall(
-                WallSampler::new(spec, lane, t0),
-                SpanLog::new(t0, spec.capacity),
-            )
-        }
-    }
-
-    pub(crate) fn into_logical(self) -> LogicalSeries {
-        match self {
-            LaneTelemetry::Logical(series) => series,
-            LaneTelemetry::Wall(..) => unreachable!("wall lane in a deterministic timeline"),
-        }
-    }
-
-    /// Closes the lane's execution span: the whole packet loop, recorded
-    /// on the wall clock only.
-    pub(crate) fn finish_exec(&mut self, id: u64, began: Instant, packets: u64) {
-        if let LaneTelemetry::Wall(sampler, log) = self {
-            log.record(Stage::Exec, id, sampler.lane(), began, packets);
-        }
-    }
-}
-
-/// Per-lane accumulation state for the timeline sampler: cumulative
-/// counters plus the bail-out watermark for logical deltas.
-#[derive(Default)]
-pub(crate) struct LaneProbe {
-    instructions: u64,
-    mem_packet: u64,
-    mem_non_packet: u64,
-    last_bailouts: u64,
-}
-
-impl LaneProbe {
-    /// Folds one processed packet into the lane's telemetry. `remaining`
-    /// is the lane's queue depth after this packet; busy time at a
-    /// sample is `busy_base_ns` (previous chunks) plus the time since
-    /// `busy_start` (the current loop or chunk), so both the batch
-    /// engine's one-clock-pair loop and the stream worker's per-chunk
-    /// accumulation report honest busy time. `ring_dropped` is the
-    /// lane's cumulative ingestion-drop count (always zero outside live
-    /// mode); it lands in wall-clock samples only — drops are a timing
-    /// artifact, so deterministic logical timelines exclude them.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn observe(
-        &mut self,
-        lane: &mut LaneTelemetry,
-        index: u64,
-        record: &PacketRecord,
-        bench: &PacketBench,
-        remaining: u64,
-        busy_base_ns: u64,
-        busy_start: Instant,
-        ring_dropped: u64,
-    ) {
-        let bailouts = bench.block_bailouts();
-        let bail_delta = bailouts - self.last_bailouts;
-        self.last_bailouts = bailouts;
-        self.instructions += record.stats.instret;
-        self.mem_packet += record.stats.mem.packet_total();
-        self.mem_non_packet += record.stats.mem.non_packet_total();
-        match lane {
-            LaneTelemetry::Logical(series) => {
-                series.record(
-                    index,
-                    &Counters {
-                        packets: 1,
-                        instructions: record.stats.instret,
-                        mem_packet: record.stats.mem.packet_total(),
-                        mem_non_packet: record.stats.mem.non_packet_total(),
-                        block_bailouts: bail_delta,
-                    },
-                );
-            }
-            LaneTelemetry::Wall(sampler, _) => {
-                if sampler.on_packet() {
-                    let memo = bench.memo_counters();
-                    sampler.push(Sample {
-                        instructions: self.instructions,
-                        mem_packet: self.mem_packet,
-                        mem_non_packet: self.mem_non_packet,
-                        queue_depth: remaining,
-                        busy_ns: busy_base_ns
-                            + busy_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-                        memo_hits: memo.hits,
-                        memo_misses: memo.misses,
-                        memo_evictions: memo.evictions,
-                        block_bailouts: bailouts,
-                        ring_dropped,
-                        ..Sample::default()
-                    });
-                }
-            }
-        }
     }
 }
 
@@ -750,8 +337,9 @@ pub struct WorkerMetrics {
     pub worker: usize,
     /// Packets this worker processed.
     pub packets: u64,
-    /// Nanoseconds the worker spent in its packet loop (one clock pair
-    /// per run, not per packet).
+    /// Nanoseconds the worker spent processing packets, from its first
+    /// bench build on: one clock pair per busy period (a batch shard, a
+    /// stream chunk or a live burst), never per packet.
     pub busy_ns: u64,
     /// Run wall-clock nanoseconds the worker was not in its packet loop
     /// (waiting to start, finished early, or starved).
@@ -770,7 +358,7 @@ pub struct WorkerMetrics {
     /// of a full 4-way set. Zero when memoization is off.
     pub memo_evictions: u64,
     /// Why this worker ran without its memo cache although memoization
-    /// was asked for: its bench's [`PacketBench::memo_refusal`], or
+    /// was asked for: its bench's [`crate::PacketBench::memo_refusal`], or
     /// [`MemoRefusal::NoPackets`] when it never built a bench. `None`
     /// when memoization is off or the cache was active. Not exported;
     /// [`memo_refusal`] folds it over a run's workers.
@@ -795,6 +383,30 @@ pub struct WorkerMetrics {
     /// was exhausted. Always zero in batch and stream modes, which
     /// apply backpressure instead of dropping (`pb live` only).
     pub ring_dropped: u64,
+}
+
+/// The exported form of a worker's metrics: every counter, and the
+/// busy/idle timings, which a deterministic export zeroes. The memo
+/// refusal is not exported.
+impl From<&WorkerMetrics> for WorkerStat {
+    fn from(w: &WorkerMetrics) -> WorkerStat {
+        WorkerStat {
+            worker: w.worker,
+            packets: w.packets,
+            busy_ns: w.busy_ns,
+            idle_ns: w.idle_ns,
+            queue_depth: w.queue_depth,
+            memo_hits: w.memo_hits,
+            memo_misses: w.memo_misses,
+            memo_evictions: w.memo_evictions,
+            block_bailouts: w.block_bailouts,
+            traces_formed: w.traces_formed,
+            trace_hits: w.trace_hits,
+            trace_guard_exits: w.trace_guard_exits,
+            trace_declines: w.trace_declines,
+            ring_dropped: w.ring_dropped,
+        }
+    }
 }
 
 /// Why a run that asked for memoization ran without it, from its
@@ -854,6 +466,7 @@ impl EngineRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{App, PacketBench};
     use nettrace::synth::{SyntheticTrace, TraceProfile};
 
     fn trace(n: usize, seed: u64) -> Vec<Packet> {

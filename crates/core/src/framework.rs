@@ -18,7 +18,7 @@ use npsim::uarch::OpMix;
 use npsim::util::BitSet;
 use npsim::{
     reg, Cpu, Interpreter, MemCounts, MemoCache, MemoCounters, MemoKey, Memory, MemoryMap,
-    RunConfig, RunStats, SimError, SysHandler, SysOutcome,
+    NullObserver, RunConfig, RunStats, SimError, SysHandler, SysOutcome,
 };
 
 use crate::apps::App;
@@ -141,18 +141,6 @@ pub enum MemoRefusal {
     /// A worker that never built a bench (it was given no packets), so
     /// nothing was decided.
     NoPackets,
-}
-
-impl MemoRefusal {
-    /// A worker's refusal for a run in `mode`: its bench's, or
-    /// [`MemoRefusal::NoPackets`] when it never built one. `None` when
-    /// memoization is off or the worker's cache is active.
-    pub(crate) fn of_worker(mode: MemoMode, bench: Option<&PacketBench>) -> Option<MemoRefusal> {
-        match bench {
-            Some(bench) => bench.memo_refusal().cloned(),
-            None => (mode != MemoMode::Off).then_some(MemoRefusal::NoPackets),
-        }
-    }
 }
 
 impl fmt::Display for MemoRefusal {
@@ -632,7 +620,7 @@ impl PacketBench {
         detail: Detail,
         record: &mut PacketRecord,
     ) -> Result<(), BenchError> {
-        self.process_packet_with_clock(packet, detail, None, record)
+        self.process_with(None, packet, detail, record, &mut NullObserver)
     }
 
     /// Runs one packet as if it were the 0-based `index`-th packet of a
@@ -651,37 +639,7 @@ impl PacketBench {
         detail: Detail,
         record: &mut PacketRecord,
     ) -> Result<(), BenchError> {
-        self.process_packet_with_clock(packet, detail, Some((index + 1) as u32), record)
-    }
-
-    fn process_packet_with_clock(
-        &mut self,
-        packet: &Packet,
-        detail: Detail,
-        clock: Option<u32>,
-        record: &mut PacketRecord,
-    ) -> Result<(), BenchError> {
-        let l3 = l3_checked(packet)?;
-        if self.memo_pre(l3, detail, record) {
-            return Ok(());
-        }
-        let program = self.app.image().program();
-        let mut cpu = Cpu::new(program, self.map).with_blocks(&self.block_table);
-        self.packets_processed += 1;
-        let result = run_packet_on(
-            &mut cpu,
-            &mut self.mem,
-            self.map,
-            self.entry,
-            &mut self.out_packets,
-            clock.unwrap_or(self.packets_processed as u32),
-            packet,
-            &detail.run_config(),
-            record,
-        );
-        self.block_bailouts += cpu.block_bailouts();
-        result?;
-        self.memo_post(detail, record)
+        self.process_with(Some(index), packet, detail, record, &mut NullObserver)
     }
 
     /// Runs one packet like [`PacketBench::process_packet_at`], streaming
@@ -704,6 +662,23 @@ impl PacketBench {
         record: &mut PacketRecord,
         obs: &mut O,
     ) -> Result<(), BenchError> {
+        self.process_with(Some(index), packet, detail, record, obs)
+    }
+
+    /// The one per-packet path: replay a memo hit, or stage the packet,
+    /// boot the CPU at the application entry and run it under the
+    /// framework `sys` handler and `obs`. Output packets are timestamped
+    /// by trace position `index` when given, else by the bench's packet
+    /// count.
+    #[inline]
+    pub(crate) fn process_with<O: npsim::Observer>(
+        &mut self,
+        index: Option<u64>,
+        packet: &Packet,
+        detail: Detail,
+        record: &mut PacketRecord,
+        obs: &mut O,
+    ) -> Result<(), BenchError> {
         let l3 = l3_checked(packet)?;
         if self.memo_pre(l3, detail, record) {
             return Ok(());
@@ -715,7 +690,7 @@ impl PacketBench {
         let mut handler = FrameworkSys {
             verdict: Verdict::Returned,
             out: &mut self.out_packets,
-            clock: (index + 1) as u32,
+            clock: index.map_or(self.packets_processed, |i| i + 1) as u32,
         };
         let result = cpu.run_observed(
             &mut self.mem,
@@ -727,7 +702,7 @@ impl PacketBench {
         self.block_bailouts += cpu.block_bailouts();
         result?;
         record.verdict = handler.verdict;
-        record.return_value = cpu.state().regs[reg::A0.index()];
+        record.return_value = cpu.reg(reg::A0);
         self.memo_post(detail, record)
     }
 
@@ -752,19 +727,18 @@ impl PacketBench {
         run_config: &RunConfig,
         record: &mut PacketRecord,
     ) -> Result<(), BenchError> {
-        l3_checked(packet)?;
+        let l3 = l3_checked(packet)?;
         self.packets_processed += 1;
-        run_packet_on(
-            interp,
-            &mut self.mem,
-            self.map,
-            self.entry,
-            &mut self.out_packets,
-            self.packets_processed as u32,
-            packet,
-            run_config,
-            record,
-        )
+        stage_and_boot(interp, &mut self.mem, self.map, self.entry, l3);
+        let mut handler = FrameworkSys {
+            verdict: Verdict::Returned,
+            out: &mut self.out_packets,
+            clock: self.packets_processed as u32,
+        };
+        interp.run_into(&mut self.mem, run_config, &mut handler, &mut record.stats)?;
+        record.verdict = handler.verdict;
+        record.return_value = interp.state().regs[reg::A0.index()];
+        Ok(())
     }
 
     /// Runs one packet and checks the result against the application's
@@ -863,36 +837,6 @@ fn l3_checked(packet: &Packet) -> Result<&[u8], BenchError> {
         ));
     }
     Ok(l3)
-}
-
-/// One packet through one interpreter: the framework sequence shared by
-/// the normal path and the conformance path. Stages the packet, boots the
-/// interpreter at `entry` with the packet pointer and length in
-/// `a0`/`a1`, runs it under the framework `sys` handler, and captures the
-/// verdict and return value.
-#[allow(clippy::too_many_arguments)]
-fn run_packet_on(
-    interp: &mut dyn Interpreter,
-    mem: &mut Memory,
-    map: MemoryMap,
-    entry: u32,
-    out: &mut Vec<Packet>,
-    clock: u32,
-    packet: &Packet,
-    run_config: &RunConfig,
-    record: &mut PacketRecord,
-) -> Result<(), BenchError> {
-    let l3 = l3_checked(packet)?;
-    stage_and_boot(interp, mem, map, entry, l3);
-    let mut handler = FrameworkSys {
-        verdict: Verdict::Returned,
-        out,
-        clock,
-    };
-    interp.run_into(mem, run_config, &mut handler, &mut record.stats)?;
-    record.verdict = handler.verdict;
-    record.return_value = interp.state().regs[reg::A0.index()];
-    Ok(())
 }
 
 /// Stages a packet into simulated memory and boots an interpreter at the

@@ -50,6 +50,7 @@ pub mod conform;
 pub mod engine;
 pub mod error;
 pub mod framework;
+mod lane;
 pub mod live;
 pub mod profile;
 pub mod report;

@@ -12,10 +12,10 @@
 //!   trace — and offers each packet to its worker's lock-free SPSC lane
 //!   ([`npring::lane`]): a zero-copy mbuf pool fronted by an in-ring and
 //!   a free-ring;
-//! * **workers** (one per lane, each owning a private [`PacketBench`])
-//!   run to completion: burst-dequeue up to [`MAX_BURST`] packet views,
-//!   simulate each in place, and retire the burst's slots back to the
-//!   free-ring;
+//! * **workers** (one per ring, each a `Lane` owning a private
+//!   [`PacketBench`](crate::PacketBench)) run to completion:
+//!   burst-dequeue up to [`MAX_BURST`] packet views, simulate each in
+//!   place, and retire the burst's slots back to the free-ring;
 //! * when a lane's pool is exhausted the producer either counts the
 //!   packet **dropped** and moves on ([`OnFull::Drop`], the
 //!   run-to-completion default) or spins until a slot frees
@@ -40,8 +40,8 @@
 //! report equals the batch engine's for the same source, at any thread
 //! count: packets are sharded by the same rule ([`Engine::shard_of`] on
 //! the global trace position), processed with the same global-index
-//! clock ([`PacketBench::process_packet_at`]), delivered in order within
-//! each lane (SPSC FIFO), and folded with exact integer sums
+//! clock ([`crate::PacketBench::process_packet_at`]), delivered in order
+//! within each lane (SPSC FIFO), and folded with exact integer sums
 //! ([`StreamAggregate`]). Drops break the equivalence by construction —
 //! a dropped packet is never simulated — which is the point.
 //!
@@ -51,25 +51,21 @@
 //! and exclude `ring_dropped` entirely.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use nettrace::{Limited, PacketSource};
 use npobs::timeline::{Sample, Stage, Timeline};
 use npobs::{Log2Histogram, PacketHists};
 use npring::{lane, LaneConsumer, Pacer, RateSpec, RingStats, MAX_BURST};
-use npsim::bblock::BlockMap;
-use npsim::MemoCounters;
+use npsim::NullObserver;
 use npstream::SourceSpec;
 
 use crate::analysis::StreamAggregate;
-use crate::apps::App;
-use crate::engine::{Engine, LaneProbe, LaneTelemetry, MonitorCounters, WorkerMetrics};
+use crate::engine::{Engine, WorkerMetrics};
 use crate::error::BenchError;
-use crate::framework::{Detail, MemoRefusal, PacketBench, PacketRecord};
-
-/// How often the in-run progress line is refreshed.
-const PROGRESS_INTERVAL: Duration = Duration::from_millis(1000);
+use crate::framework::{Detail, PacketRecord};
+use crate::lane::{assemble_timeline, settle_idle, Lane, LaneTelemetry, MonitorCounters};
 
 /// What the producer does when a lane's packet pool is exhausted.
 ///
@@ -264,8 +260,23 @@ impl Engine {
         detail: Detail,
         config: LiveConfig,
     ) -> Result<LiveRun, BenchError> {
-        let (threads, ring, burst, loops) = config.resolve();
         let start = Instant::now();
+        self.monitored(None, start, |monitor| {
+            self.live(spec, detail, config, start, monitor)
+        })
+    }
+
+    /// The live driver: a producer thread feeding one ring per worker
+    /// lane, run to completion.
+    pub(crate) fn live(
+        &self,
+        spec: &SourceSpec,
+        detail: Detail,
+        config: LiveConfig,
+        start: Instant,
+        monitor: Option<&MonitorCounters>,
+    ) -> Result<LiveRun, BenchError> {
+        let (threads, ring, burst, loops) = config.resolve();
 
         let mut producers = Vec::with_capacity(threads);
         let mut consumers = Vec::with_capacity(threads);
@@ -280,10 +291,6 @@ impl Engine {
         let cancelled = AtomicBool::new(false);
         let failure: Mutex<Option<(u64, BenchError)>> = Mutex::new(None);
         let source_error: Mutex<Option<BenchError>> = Mutex::new(None);
-        let counters = MonitorCounters::default();
-        let done = AtomicBool::new(false);
-        let monitoring = self.progress || self.watch;
-        let status = monitoring.then(|| self.status_line());
         // The producer lane samples on the wall clock only; deterministic
         // timelines are built from worker-side logical deltas alone.
         let wall_spec = self.timeline.filter(|s| !s.deterministic);
@@ -293,41 +300,6 @@ impl Engine {
         let mut lanes: Vec<LaneTelemetry> = Vec::new();
 
         std::thread::scope(|scope| {
-            let monitor = status.as_ref().map(|status| {
-                let counters = &counters;
-                let done = &done;
-                let watch = self.watch;
-                let status = Arc::clone(status);
-                scope.spawn(move || {
-                    while !done.load(Ordering::Acquire) {
-                        std::thread::park_timeout(PROGRESS_INTERVAL);
-                        let n = counters.processed.load(Ordering::Relaxed);
-                        if done.load(Ordering::Acquire) || n == 0 {
-                            continue;
-                        }
-                        let dropped = counters.ring_dropped.load(Ordering::Relaxed);
-                        let drops = if dropped > 0 {
-                            format!(" dropped {dropped}")
-                        } else {
-                            String::new()
-                        };
-                        if watch {
-                            let pps = n as f64 / start.elapsed().as_secs_f64().max(1e-9);
-                            let memo = counters.memo_suffix();
-                            status.refresh(&format!(
-                                "pb live: {n} packets {pps:.0} pps{memo}{drops}"
-                            ));
-                        } else {
-                            status.emit(&format!("pb live: {n} packets{drops}"));
-                        }
-                    }
-                    if watch {
-                        status.finish_refresh();
-                    }
-                })
-            });
-            let counter = monitoring.then_some(&counters);
-
             let producer = {
                 let cancelled = &cancelled;
                 let source_error = &source_error;
@@ -366,10 +338,8 @@ impl Engine {
                                             })
                                         }
                                     };
-                                    if !accepted {
-                                        if let Some(counters) = counter {
-                                            counters.ring_dropped.fetch_add(1, Ordering::Relaxed);
-                                        }
+                                    if let (false, Some(monitor)) = (accepted, monitor) {
+                                        monitor.ring_dropped.fetch_add(1, Ordering::Relaxed);
                                     }
                                     global += 1;
                                     loop_packets += 1;
@@ -432,7 +402,7 @@ impl Engine {
                             config.metrics,
                             cancelled,
                             failure,
-                            counter,
+                            monitor,
                             start,
                         )
                     })
@@ -445,10 +415,6 @@ impl Engine {
                 workers.push(metrics);
                 lanes.extend(lane);
                 folds.push(fold);
-            }
-            done.store(true, Ordering::Release);
-            if let Some(monitor) = monitor {
-                monitor.thread().unpark();
             }
         });
 
@@ -479,25 +445,8 @@ impl Engine {
             bursts.merge(&fold.bursts);
         }
 
-        let timeline = self.timeline.map(|spec| {
-            if spec.deterministic {
-                Timeline::from_logical(lanes.into_iter().map(LaneTelemetry::into_logical).collect())
-            } else {
-                let mut samplers = Vec::new();
-                let mut logs = Vec::new();
-                for lane in lanes {
-                    if let LaneTelemetry::Wall(sampler, log) = lane {
-                        samplers.push(sampler);
-                        logs.push(log);
-                    }
-                }
-                Timeline::from_wall(spec.interval, threads, samplers, logs)
-            }
-        });
-        let wall_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        for w in &mut workers {
-            w.idle_ns = wall_ns.saturating_sub(w.busy_ns);
-        }
+        let timeline = assemble_timeline(self.timeline, threads, lanes);
+        settle_idle(&mut workers, start);
         Ok(LiveRun {
             aggregate,
             hists,
@@ -516,12 +465,12 @@ impl Engine {
         })
     }
 
-    /// One live worker: burst-dequeue, simulate every view in place with
-    /// the global-index clock, retire the burst. The `PacketBench` is
-    /// built on the first burst so idle lanes cost nothing. On failure
-    /// (its own or another worker's, via `cancelled`) the worker keeps
-    /// draining and retiring *without* simulating, so the producer never
-    /// wedges on a full pool and the retire accounting stays exact.
+    /// One live worker: burst-dequeue, run every view in place through
+    /// the lane, retire the burst. The lane builds its `PacketBench` on
+    /// the first packet, so idle lanes cost nothing. On failure (its own
+    /// or another worker's, via `cancelled`) the worker keeps draining
+    /// and retiring *without* simulating, so the producer never wedges on
+    /// a full pool and the retire accounting stays exact.
     #[allow(clippy::too_many_arguments)]
     fn live_worker(
         &self,
@@ -532,35 +481,21 @@ impl Engine {
         collect_hists: bool,
         cancelled: &AtomicBool,
         failure: &Mutex<Option<(u64, BenchError)>>,
-        progress: Option<&MonitorCounters>,
-        run_start: Instant,
+        monitor: Option<&MonitorCounters>,
+        start: Instant,
     ) -> (WorkerMetrics, Option<LaneTelemetry>, LaneFold) {
-        let mut bench: Option<(PacketBench, Option<BlockMap>)> = None;
+        let mut lane = Lane::new(self, worker, detail, start, monitor, NullObserver);
         let mut fold = LaneFold {
             aggregate: StreamAggregate::new(),
             hists: PacketHists::new(),
             occupancy: Log2Histogram::new(),
             bursts: Log2Histogram::new(),
         };
-        let mut packets = 0u64;
-        let mut busy_ns = 0u64;
         let mut failed = false;
-        let mut lane = self
-            .timeline
-            .map(|spec| LaneTelemetry::new(spec, worker, run_start));
-        let mut probe = LaneProbe::default();
-        let mut last_memo = MemoCounters::default();
         // One scratch record for the lane's whole run: every packet
         // overwrites it, so the executed set is allocated once.
         let mut record = PacketRecord::empty();
         let worker_start = Instant::now();
-        let record_failure = |index: u64, error: BenchError| {
-            let mut slot = failure.lock().unwrap();
-            if slot.as_ref().is_none_or(|(i, _)| index < *i) {
-                *slot = Some((index, error));
-            }
-            cancelled.store(true, Ordering::Release);
-        };
         let mut spins = 0u32;
         let mut draining = false;
         loop {
@@ -588,51 +523,23 @@ impl Engine {
             spins = 0;
             fold.bursts.record(n as u64);
             fold.occupancy.record(occupancy);
-            let busy_start = Instant::now();
-            'process: {
-                if failed || cancelled.load(Ordering::Acquire) {
-                    break 'process;
-                }
-                let (bench, block_map) = match &mut bench {
-                    Some(pair) => pair,
-                    None => {
-                        let built = App::build(self.id(), self.config()).and_then(|app| {
-                            let map = collect_hists.then(|| BlockMap::build(app.image().program()));
-                            PacketBench::with_config(app, self.config()).map(|b| (b, map))
-                        });
-                        match built {
-                            Ok((mut b, map)) => {
-                                b.set_memo(self.memo);
-                                last_memo = b.memo_counters();
-                                bench.insert((b, map))
-                            }
-                            Err(error) => {
-                                record_failure(consumer.packet(0).index(), error);
-                                failed = true;
-                                break 'process;
-                            }
-                        }
-                    }
-                };
+            lane.begin();
+            if !failed && !cancelled.load(Ordering::Acquire) {
+                let backlog = || (consumer.occupancy() as u64, consumer.stats().dropped());
                 for i in 0..n {
                     let view = consumer.packet(i);
                     let index = view.index();
-                    let run = bench
-                        .process_packet_at(index, &view, detail, &mut record)
-                        .and_then(|()| {
-                            if self.verify {
-                                bench.verify_record(&view, &record)
-                            } else {
-                                Ok(())
-                            }
-                        });
-                    if let Err(error) = run {
-                        record_failure(index, error);
+                    if let Err(error) = lane.process(index, &view, &mut record, backlog) {
+                        let mut slot = failure.lock().expect("no thread panics holding it");
+                        if slot.as_ref().is_none_or(|(i, _)| index < *i) {
+                            *slot = Some((index, error));
+                        }
+                        cancelled.store(true, Ordering::Release);
                         failed = true;
-                        break 'process;
+                        break;
                     }
                     fold.aggregate.add_record(&record);
-                    if let Some(map) = block_map {
+                    if let Some(map) = lane.block_map().filter(|_| collect_hists) {
                         fold.hists.record(
                             record.stats.instret,
                             record.stats.mem.packet_total(),
@@ -640,71 +547,21 @@ impl Engine {
                             map.blocks_executed(&record.stats.executed).count() as u64,
                         );
                     }
-                    packets += 1;
-                    if let Some(lane) = &mut lane {
-                        probe.observe(
-                            lane,
-                            index,
-                            &record,
-                            bench,
-                            consumer.occupancy() as u64,
-                            busy_ns,
-                            busy_start,
-                            consumer.stats().dropped(),
-                        );
-                    }
-                    if let Some(counters) = progress {
-                        counters.processed.fetch_add(1, Ordering::Relaxed);
-                        let memo = bench.memo_counters();
-                        let hits = memo.hits - last_memo.hits;
-                        let lookups =
-                            (memo.hits + memo.misses) - (last_memo.hits + last_memo.misses);
-                        if lookups > 0 {
-                            counters.memo_hits.fetch_add(hits, Ordering::Relaxed);
-                            counters.memo_lookups.fetch_add(lookups, Ordering::Relaxed);
-                        }
-                        last_memo = memo;
-                    }
                 }
                 // Emitted packets are not part of the aggregate; drop
                 // them per burst so they cannot accumulate.
-                bench.take_output_packets();
+                lane.take_output_packets();
             }
-            busy_ns += busy_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+            lane.end();
             // Retire even when simulation was skipped: slot accounting is
             // unconditional, so `produced == dropped + retired` survives
             // cancellation.
             consumer.retire_burst();
         }
-        if let Some(lane) = &mut lane {
-            lane.finish_exec(worker as u64, worker_start, packets);
-        }
+        let packets = lane.packets();
+        lane.span(worker as u64, worker_start, packets);
         let stats = consumer.stats();
-        let memo = bench
-            .as_ref()
-            .map(|(b, _)| b.memo_counters())
-            .unwrap_or_default();
-        let tstats = bench
-            .as_ref()
-            .map(|(b, _)| b.trace_stats())
-            .unwrap_or_default();
-        let metrics = WorkerMetrics {
-            worker,
-            packets,
-            busy_ns,
-            idle_ns: 0,
-            queue_depth: stats.produced(),
-            memo_hits: memo.hits,
-            memo_misses: memo.misses,
-            memo_evictions: memo.evictions,
-            memo_refusal: MemoRefusal::of_worker(self.memo, bench.as_ref().map(|(b, _)| b)),
-            block_bailouts: bench.as_ref().map(|(b, _)| b.block_bailouts()).unwrap_or(0),
-            traces_formed: tstats.formed,
-            trace_hits: tstats.hits,
-            trace_guard_exits: tstats.guard_exits,
-            trace_declines: tstats.declines,
-            ring_dropped: stats.dropped(),
-        };
+        let (metrics, lane, _) = lane.finish(stats.produced(), stats.dropped());
         (metrics, lane, fold)
     }
 }

@@ -18,6 +18,7 @@
 
 use nettrace::synth::{SyntheticTrace, TraceProfile};
 use nettrace::Packet;
+use npobs::export::WorkerStat;
 use npobs::stamp::METRICS_SCHEMA_VERSION;
 use npobs::{BlockHeat, HeatObserver, MetricsDoc, PacketHists, Stamp};
 use npsim::bblock::BlockMap;
@@ -217,29 +218,16 @@ impl ProfileResult {
                 .run
                 .workers
                 .iter()
-                .map(|w| npobs::export::WorkerStat {
-                    worker: w.worker,
-                    packets: w.packets,
-                    busy_ns: if deterministic { 0 } else { w.busy_ns },
-                    idle_ns: if deterministic { 0 } else { w.idle_ns },
-                    queue_depth: w.queue_depth,
-                    // Memo counters are a pure function of the trace and
-                    // sharding, so they stay real in deterministic mode.
-                    memo_hits: w.memo_hits,
-                    memo_misses: w.memo_misses,
-                    memo_evictions: w.memo_evictions,
-                    // Also trace-determined — except under memoization,
-                    // where cache hits skip simulation and contribute no
-                    // bail-outs (see `PacketBench::block_bailouts`).
-                    block_bailouts: w.block_bailouts,
-                    // Trace-cache counters are likewise trace-determined:
-                    // formation and guard outcomes depend only on the packet
-                    // sequence each worker saw.
-                    traces_formed: w.traces_formed,
-                    trace_hits: w.trace_hits,
-                    trace_guard_exits: w.trace_guard_exits,
-                    trace_declines: w.trace_declines,
-                    ring_dropped: w.ring_dropped,
+                .map(|w| {
+                    // Every counter is a pure function of the trace and
+                    // sharding (bail-outs only when memoization is off,
+                    // since hits skip simulation); only timings vary.
+                    let mut stat = WorkerStat::from(w);
+                    if deterministic {
+                        stat.busy_ns = 0;
+                        stat.idle_ns = 0;
+                    }
+                    stat
                 })
                 .collect(),
             // Batch profiling has no ingestion ring; `pb live` builds

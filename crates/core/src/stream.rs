@@ -20,7 +20,7 @@
 //!
 //! With `threads = 1` there is nothing to overlap, so the reader, the
 //! worker and the merger run inline on the calling thread, as
-//! [`Engine::run`]'s serial path does: fill one reused [`Chunk`] of
+//! [`Engine::run`] does at one thread: fill one reused [`Chunk`] of
 //! `chunk_size` packets from the source, process it through the same
 //! per-chunk body the pipeline workers use, merge its aggregate, repeat.
 //! No thread, semaphore or queue is created, and each packet is freed on
@@ -40,11 +40,11 @@
 //!   chunk to the owning worker's input queue and the worker's id to a
 //!   shared `order` queue. Flush order is a pure function of the trace,
 //!   the sharding rule, and `chunk_size` — never of thread timing.
-//! * **Workers** (one per shard, each owning a private `PacketBench`)
-//!   pop chunks FIFO, process every packet with the batch clock
-//!   (`process_packet_at(index, ..)`), fold the records into a per-chunk
-//!   [`StreamAggregate`], discard emitted output packets, and push one
-//!   outcome per chunk to their result queue.
+//! * **Workers** (one per shard, each a `Lane` owning a private
+//!   `PacketBench`) pop chunks FIFO, process every packet with the batch
+//!   clock (`process_packet_at(index, ..)`), fold the records into a
+//!   per-chunk [`StreamAggregate`], discard emitted output packets, and
+//!   push one outcome per chunk to their result queue.
 //! * The **merger** (the calling thread) pops worker ids from `order` and
 //!   the matching outcome from that worker's result queue, releases the
 //!   chunk's permit, and merges aggregates *in flush order*.
@@ -80,22 +80,19 @@
 //! reported error is deterministic.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use nettrace::{Packet, PacketSource};
 use npobs::timeline::{Sample, Stage, Timeline};
-use npobs::StatusLine;
+use npsim::NullObserver;
 use npstream::{BoundedQueue, Chunk, Semaphore, ShardBuffers};
 
 use crate::analysis::StreamAggregate;
-use crate::apps::App;
-use crate::engine::{Engine, LaneProbe, LaneTelemetry, MonitorCounters, WorkerMetrics};
+use crate::engine::{Engine, WorkerMetrics};
 use crate::error::BenchError;
-use crate::framework::{Detail, MemoMode, MemoRefusal, PacketBench, PacketRecord};
-
-/// How often the in-run progress line is refreshed.
-const PROGRESS_INTERVAL: Duration = Duration::from_millis(1000);
+use crate::framework::{Detail, PacketRecord};
+use crate::lane::{assemble_timeline, settle_idle, Lane, LaneTelemetry, MonitorCounters};
 
 /// Sizing of the streaming pipeline. Zeros mean "pick a default":
 /// `threads = 0` uses available parallelism, `chunk_size = 0` uses
@@ -198,19 +195,6 @@ enum ChunkOutcome {
     Skipped,
 }
 
-/// The telemetry context a worker hands [`Engine::stream_chunk`] for the
-/// duration of one chunk: the lane being sampled, the cumulative probe,
-/// the worker's input queue (its depth is the lane's backlog; the inline
-/// driver has none), and the busy-time baseline so mid-chunk samples
-/// report honest busy time.
-struct ChunkTelemetry<'a> {
-    lane: &'a mut LaneTelemetry,
-    probe: &'a mut LaneProbe,
-    input: Option<&'a BoundedQueue<(u64, Chunk<Packet>)>>,
-    busy_base_ns: u64,
-    busy_start: Instant,
-}
-
 /// What a driver hands back to [`Engine::run_streaming`]: the merged
 /// aggregate, chunks folded, per-worker metrics (`idle_ns` still unset),
 /// and every telemetry lane it kept.
@@ -242,37 +226,43 @@ impl Engine {
     where
         S: PacketSource + Send,
     {
-        let (threads, chunk_size, max_inflight) = config.resolve();
         let start = Instant::now();
+        self.monitored(None, start, |monitor| {
+            self.stream(source, detail, config, start, monitor)
+        })
+    }
+
+    /// The streaming driver: runs `source` inline or through the
+    /// pipeline, then merges the lanes' telemetry.
+    pub(crate) fn stream<S: PacketSource + Send>(
+        &self,
+        source: S,
+        detail: Detail,
+        config: StreamConfig,
+        start: Instant,
+        monitor: Option<&MonitorCounters>,
+    ) -> Result<StreamRun, BenchError> {
+        let (threads, chunk_size, max_inflight) = config.resolve();
         let Folded {
             aggregate,
             chunks,
             mut workers,
             lanes,
         } = if threads == 1 {
-            self.stream_inline(source, detail, chunk_size, start)?
+            self.stream_inline(source, detail, chunk_size, start, monitor)?
         } else {
-            self.stream_pipelined(source, detail, threads, chunk_size, max_inflight, start)?
+            self.stream_pipelined(
+                source,
+                detail,
+                threads,
+                chunk_size,
+                max_inflight,
+                start,
+                monitor,
+            )?
         };
-        let timeline = self.timeline.map(|spec| {
-            if spec.deterministic {
-                Timeline::from_logical(lanes.into_iter().map(LaneTelemetry::into_logical).collect())
-            } else {
-                let mut samplers = Vec::new();
-                let mut logs = Vec::new();
-                for lane in lanes {
-                    if let LaneTelemetry::Wall(sampler, log) = lane {
-                        samplers.push(sampler);
-                        logs.push(log);
-                    }
-                }
-                Timeline::from_wall(spec.interval, threads, samplers, logs)
-            }
-        });
-        let wall_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        for w in &mut workers {
-            w.idle_ns = wall_ns.saturating_sub(w.busy_ns);
-        }
+        let timeline = assemble_timeline(self.timeline, threads, lanes);
+        settle_idle(&mut workers, start);
         Ok(StreamRun {
             aggregate,
             threads,
@@ -297,26 +287,19 @@ impl Engine {
         detail: Detail,
         chunk_size: usize,
         start: Instant,
+        monitor: Option<&MonitorCounters>,
     ) -> Result<Folded, BenchError> {
         let wall_spec = self.timeline.filter(|s| !s.deterministic);
-        let mut lane = self.timeline.map(|spec| LaneTelemetry::new(spec, 0, start));
+        let mut lane = Lane::new(self, 0, detail, start, monitor, NullObserver);
         let mut reader_lane = wall_spec.map(|s| LaneTelemetry::new(s, 1, start));
         let mut merger_lane = wall_spec.map(|s| LaneTelemetry::new(s, 2, start));
-        let mut probe = LaneProbe::default();
-        let counters = MonitorCounters::default();
-        let status = (self.progress || self.watch).then(|| self.status_line());
-        let progress = status.is_some().then_some(&counters);
-        let mut last_status = start;
-
-        let mut bench: Option<PacketBench> = None;
         let mut chunk = Chunk {
             items: Vec::with_capacity(chunk_size),
         };
+        let mut record = PacketRecord::empty();
         let mut aggregate = StreamAggregate::new();
         let mut chunks = 0u64;
         let mut read = 0u64;
-        let mut packets = 0u64;
-        let mut busy_ns = 0u64;
         let mut eof = false;
         let outcome = 'run: loop {
             let read_began = Instant::now();
@@ -346,27 +329,7 @@ impl Engine {
                 log.record(Stage::Read, id, 1, read_began, chunk_packets);
             }
 
-            let busy_start = Instant::now();
-            let telemetry = lane.as_mut().map(|lane| ChunkTelemetry {
-                lane,
-                probe: &mut probe,
-                input: None,
-                busy_base_ns: busy_ns,
-                busy_start,
-            });
-            let processed = self.stream_chunk(
-                &mut bench,
-                &chunk,
-                detail,
-                progress,
-                &mut packets,
-                telemetry,
-            );
-            busy_ns += busy_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            if let Some(lane) = &mut lane {
-                lane.finish_exec(id, busy_start, chunk_packets);
-            }
-            let chunk_aggregate = match processed {
+            let chunk_aggregate = match stream_chunk(&mut lane, id, &chunk, None, &mut record) {
                 Ok(agg) => agg,
                 Err(e) => break Err(e),
             };
@@ -379,28 +342,13 @@ impl Engine {
                     sampler.push(Sample::default());
                 }
             }
-            if let Some(status) = &status {
-                if last_status.elapsed() >= PROGRESS_INTERVAL {
-                    last_status = Instant::now();
-                    self.show_progress(status, &counters, start);
-                }
-            }
         };
-        if let (true, Some(status)) = (self.watch, &status) {
-            status.finish_refresh();
-        }
         outcome?;
+        let (metrics, lane, _) = lane.finish(read, 0);
         Ok(Folded {
             aggregate,
             chunks,
-            workers: vec![stream_metrics(
-                0,
-                self.memo,
-                bench.as_ref(),
-                packets,
-                busy_ns,
-                read,
-            )],
+            workers: vec![metrics],
             lanes: lane
                 .into_iter()
                 .chain(reader_lane)
@@ -412,6 +360,7 @@ impl Engine {
     /// The threaded driver for `threads > 1`: a reader thread, one worker
     /// thread per shard and the merger on the calling thread, joined by
     /// bounded queues under a permit semaphore (see the module docs).
+    #[allow(clippy::too_many_arguments)]
     fn stream_pipelined<S: PacketSource + Send>(
         &self,
         source: S,
@@ -420,6 +369,7 @@ impl Engine {
         chunk_size: usize,
         max_inflight: usize,
         start: Instant,
+        monitor: Option<&MonitorCounters>,
     ) -> Result<Folded, BenchError> {
         // One permit per in-flight chunk; every queue's capacity matches
         // the permit count so only the semaphore can block the reader and
@@ -436,10 +386,6 @@ impl Engine {
             .collect();
         let cancelled = AtomicBool::new(false);
         let source_error: Mutex<Option<BenchError>> = Mutex::new(None);
-        let counters = MonitorCounters::default();
-        let done = AtomicBool::new(false);
-        let monitoring = self.progress || self.watch;
-        let status = monitoring.then(|| self.status_line());
         // The wall-clock sampler lanes: workers 0..threads, the reader at
         // `threads`, the merger at `threads + 1`. Deterministic timelines
         // sample only inside workers (per-packet logical deltas).
@@ -453,24 +399,6 @@ impl Engine {
         let mut merger_lane = wall_spec.map(|s| LaneTelemetry::new(s, threads + 1, start));
 
         std::thread::scope(|scope| {
-            let monitor = status.as_ref().map(|status| {
-                let counters = &counters;
-                let done = &done;
-                let status = Arc::clone(status);
-                scope.spawn(move || {
-                    while !done.load(Ordering::Acquire) {
-                        std::thread::park_timeout(PROGRESS_INTERVAL);
-                        if !done.load(Ordering::Acquire) {
-                            self.show_progress(&status, counters, start);
-                        }
-                    }
-                    if self.watch {
-                        status.finish_refresh();
-                    }
-                })
-            });
-            let counter = monitoring.then_some(&counters);
-
             let reader = {
                 let permits = &permits;
                 let order = &order;
@@ -560,7 +488,7 @@ impl Engine {
                     let result = &results[w];
                     let cancelled = &cancelled;
                     scope.spawn(move || {
-                        self.stream_worker(w, input, result, detail, cancelled, counter, start)
+                        self.stream_worker(w, input, result, detail, cancelled, monitor, start)
                     })
                 })
                 .collect();
@@ -611,10 +539,6 @@ impl Engine {
                 workers.push(metrics);
                 lanes.extend(lane);
             }
-            done.store(true, Ordering::Release);
-            if let Some(monitor) = monitor {
-                monitor.thread().unpark();
-            }
         });
 
         if let Some(e) = first_error {
@@ -632,27 +556,9 @@ impl Engine {
         })
     }
 
-    /// Shows the streaming status line: the in-place `--watch` refresh,
-    /// or a `--progress` line. Silent until the first packet retires.
-    fn show_progress(&self, status: &StatusLine, counters: &MonitorCounters, start: Instant) {
-        let n = counters.processed.load(Ordering::Relaxed);
-        if n == 0 {
-            return;
-        }
-        if self.watch {
-            let pps = n as f64 / start.elapsed().as_secs_f64().max(1e-9);
-            let memo = counters.memo_suffix();
-            status.refresh(&format!("pb: {n} packets streamed {pps:.0} pps{memo}"));
-        } else {
-            status.emit(&format!("pb: {n} packets streamed"));
-        }
-    }
-
-    /// One streaming worker: pop chunks FIFO, process each packet with
-    /// the batch clock, fold per-chunk aggregates, push one outcome per
-    /// chunk. The `PacketBench` is built on the first chunk so idle
-    /// workers cost nothing; emitted output packets are dropped per chunk
-    /// to keep memory bounded.
+    /// One streaming worker: pop chunks FIFO, run each through the lane,
+    /// push one outcome per chunk. The lane builds its `PacketBench` on
+    /// the first packet, so idle workers cost nothing.
     #[allow(clippy::too_many_arguments)]
     fn stream_worker(
         &self,
@@ -661,170 +567,57 @@ impl Engine {
         result: &BoundedQueue<ChunkOutcome>,
         detail: Detail,
         cancelled: &AtomicBool,
-        progress: Option<&MonitorCounters>,
-        run_start: Instant,
+        monitor: Option<&MonitorCounters>,
+        start: Instant,
     ) -> (WorkerMetrics, Option<LaneTelemetry>) {
-        let mut bench: Option<PacketBench> = None;
+        let mut lane = Lane::new(self, worker, detail, start, monitor, NullObserver);
+        let mut record = PacketRecord::empty();
         let mut failed = false;
         let mut enqueued = 0u64;
-        let mut packets = 0u64;
-        let mut busy_ns = 0u64;
-        let mut lane = self
-            .timeline
-            .map(|spec| LaneTelemetry::new(spec, worker, run_start));
-        let mut probe = LaneProbe::default();
         while let Some((id, chunk)) = input.pop() {
             enqueued += chunk.len() as u64;
             if failed || cancelled.load(Ordering::Acquire) {
                 let _ = result.push(ChunkOutcome::Skipped);
                 continue;
             }
-            let busy_start = Instant::now();
-            let telemetry = lane.as_mut().map(|lane| ChunkTelemetry {
-                lane,
-                probe: &mut probe,
-                input: Some(input),
-                busy_base_ns: busy_ns,
-                busy_start,
-            });
-            let outcome = match self.stream_chunk(
-                &mut bench,
-                &chunk,
-                detail,
-                progress,
-                &mut packets,
-                telemetry,
-            ) {
+            let outcome = match stream_chunk(&mut lane, id, &chunk, Some(input), &mut record) {
                 Ok(agg) => ChunkOutcome::Stats(agg),
                 Err(error) => {
                     failed = true;
                     ChunkOutcome::Failed(error)
                 }
             };
-            busy_ns += busy_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            if let Some(lane) = &mut lane {
-                lane.finish_exec(id, busy_start, chunk.len() as u64);
-            }
             let _ = result.push(outcome);
         }
-        let metrics = stream_metrics(
-            worker,
-            self.memo,
-            bench.as_ref(),
-            packets,
-            busy_ns,
-            enqueued,
-        );
+        let (metrics, lane, _) = lane.finish(enqueued, 0);
         (metrics, lane)
-    }
-
-    /// Processes one chunk and returns its fold, building the worker's
-    /// `PacketBench` first if this is its first chunk. The one per-packet
-    /// body of both streaming drivers.
-    fn stream_chunk(
-        &self,
-        bench: &mut Option<PacketBench>,
-        chunk: &Chunk<Packet>,
-        detail: Detail,
-        progress: Option<&MonitorCounters>,
-        packets: &mut u64,
-        mut telemetry: Option<ChunkTelemetry<'_>>,
-    ) -> Result<StreamAggregate, BenchError> {
-        let bench = match bench {
-            Some(b) => b,
-            None => {
-                let mut b = App::build(self.id(), self.config())
-                    .and_then(|app| PacketBench::with_config(app, self.config()))?;
-                // The bench — and with it the memo cache — lives for the
-                // worker's whole run, so entries installed in one chunk
-                // serve hits in every later chunk.
-                b.set_memo(self.memo);
-                bench.insert(b)
-            }
-        };
-        let mut agg = StreamAggregate::new();
-        let mut last_memo = bench.memo_counters();
-        // One scratch record for the whole chunk: every packet overwrites
-        // it, so the executed set is allocated once, not per packet.
-        let mut record = PacketRecord::empty();
-        for &(index, ref packet) in &chunk.items {
-            let run = bench
-                .process_packet_at(index, packet, detail, &mut record)
-                .and_then(|()| {
-                    if self.verify {
-                        bench.verify_record(packet, &record)
-                    } else {
-                        Ok(())
-                    }
-                });
-            if let Err(error) = run {
-                bench.take_output_packets();
-                return Err(error);
-            }
-            agg.add_record(&record);
-            *packets += 1;
-            if let Some(t) = telemetry.as_mut() {
-                t.probe.observe(
-                    t.lane,
-                    index,
-                    &record,
-                    bench,
-                    t.input.map_or(0, |input| input.len() as u64),
-                    t.busy_base_ns,
-                    t.busy_start,
-                    0,
-                );
-            }
-            if let Some(counters) = progress {
-                counters.processed.fetch_add(1, Ordering::Relaxed);
-                let memo = bench.memo_counters();
-                let hits = memo.hits - last_memo.hits;
-                let lookups = (memo.hits + memo.misses) - (last_memo.hits + last_memo.misses);
-                if lookups > 0 {
-                    counters.memo_hits.fetch_add(hits, Ordering::Relaxed);
-                    counters.memo_lookups.fetch_add(lookups, Ordering::Relaxed);
-                }
-                last_memo = memo;
-            }
-        }
-        // Emitted packets are not part of the aggregate; drop them per
-        // chunk so they cannot accumulate.
-        bench.take_output_packets();
-        Ok(agg)
     }
 }
 
-/// A streaming worker's telemetry: its bench's memo state and trace
-/// counters (zeros if it never built one; the run's memo `mode` says
-/// whether that is a refusal) plus the driver's packet, busy-time and
-/// enqueued counts. `idle_ns` is set once the run's wall time is known.
-fn stream_metrics(
-    worker: usize,
-    mode: MemoMode,
-    bench: Option<&PacketBench>,
-    packets: u64,
-    busy_ns: u64,
-    enqueued: u64,
-) -> WorkerMetrics {
-    let memo = bench.map(|b| b.memo_counters()).unwrap_or_default();
-    let tstats = bench.map(|b| b.trace_stats()).unwrap_or_default();
-    WorkerMetrics {
-        worker,
-        packets,
-        busy_ns,
-        idle_ns: 0,
-        queue_depth: enqueued,
-        memo_hits: memo.hits,
-        memo_misses: memo.misses,
-        memo_evictions: memo.evictions,
-        memo_refusal: MemoRefusal::of_worker(mode, bench),
-        block_bailouts: bench.map_or(0, |b| b.block_bailouts()),
-        traces_formed: tstats.formed,
-        trace_hits: tstats.hits,
-        trace_guard_exits: tstats.guard_exits,
-        trace_declines: tstats.declines,
-        ring_dropped: 0,
-    }
+/// Runs chunk `id` through `lane` into `record`, one packet at a time,
+/// as one busy period, and returns the chunk's fold: the one per-packet
+/// body of both streaming drivers. The lane's backlog is its `input`
+/// queue (the inline driver has none). Emitted packets are not part of
+/// the aggregate, so they are dropped per chunk and cannot accumulate.
+fn stream_chunk(
+    lane: &mut Lane<'_>,
+    id: u64,
+    chunk: &Chunk<Packet>,
+    input: Option<&BoundedQueue<(u64, Chunk<Packet>)>>,
+    record: &mut PacketRecord,
+) -> Result<StreamAggregate, BenchError> {
+    let began = lane.begin();
+    let mut agg = StreamAggregate::new();
+    let backlog = || (input.map_or(0, |input| input.len() as u64), 0);
+    let folded = chunk.items.iter().try_for_each(|(index, packet)| {
+        lane.process(*index, packet, record, backlog)?;
+        agg.add_record(record);
+        Ok(())
+    });
+    lane.take_output_packets();
+    lane.end();
+    lane.span(id, began, chunk.len() as u64);
+    folded.map(|()| agg)
 }
 
 #[cfg(test)]

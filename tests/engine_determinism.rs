@@ -5,12 +5,15 @@
 
 use nettrace::synth::{SyntheticTrace, TraceProfile};
 use nettrace::{Limited, Packet};
+use npsim::TraceParams;
+use npstream::SourceSpec;
 use packetbench::analysis::StreamAggregate;
 use packetbench::apps::{App, AppId};
 use packetbench::engine::{Engine, EngineRun};
 use packetbench::framework::{Detail, PacketBench};
+use packetbench::live::{LiveConfig, OnFull};
 use packetbench::stream::StreamConfig;
-use packetbench::{report, WorkloadConfig};
+use packetbench::{report, WorkerMetrics, WorkloadConfig};
 
 const TRACE_SEED: u64 = 2005_0320;
 const PACKETS: usize = 400;
@@ -192,6 +195,57 @@ fn streaming_equals_batch_at_every_thread_count_and_chunk_size() {
                     want_report,
                     "report bytes, {context}"
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn every_driver_honours_trace_params() {
+    // Trace formation is a setting of every bench the engine builds, so
+    // batch, stream and live must all apply it: disabled, radix forms and
+    // enters no trace; by default its hot loops form traces on every
+    // driver.
+    const N: u64 = 600;
+    let packets = mra_trace(N as usize);
+    let spec = SourceSpec::parse(&format!("synth:mra:seed={TRACE_SEED}:packets={N}")).unwrap();
+    let events = |workers: &[WorkerMetrics]| {
+        let sum = |f: fn(&WorkerMetrics) -> u64| workers.iter().map(f).sum::<u64>();
+        [
+            sum(|w| w.traces_formed),
+            sum(|w| w.trace_hits),
+            sum(|w| w.trace_guard_exits),
+        ]
+    };
+    for params in [Some(TraceParams::disabled()), None] {
+        let engine = Engine::new(AppId::Ipv4Radix).trace_params(params);
+        for threads in [1, 3] {
+            let batch = engine.run(&packets, Detail::counts(), threads).unwrap();
+            let source = Limited::new(SyntheticTrace::new(TraceProfile::mra(), TRACE_SEED), N);
+            let config = StreamConfig {
+                threads,
+                ..StreamConfig::default()
+            };
+            let stream = engine
+                .run_streaming(source, Detail::counts(), config)
+                .unwrap();
+            let config = LiveConfig {
+                threads,
+                on_full: OnFull::Wait,
+                ..LiveConfig::default()
+            };
+            let live = engine.run_live(&spec, Detail::counts(), config).unwrap();
+            for (driver, workers) in [
+                ("batch", &batch.workers),
+                ("stream", &stream.workers),
+                ("live", &live.workers),
+            ] {
+                let events = events(workers);
+                let context = format!("{driver} at {threads} threads, {params:?}");
+                match params {
+                    Some(_) => assert_eq!(events, [0; 3], "{context}"),
+                    None => assert!(events.iter().all(|&n| n > 0), "{context}: {events:?}"),
+                }
             }
         }
     }

@@ -4,8 +4,8 @@
 //!
 //! 1. **Thread/chunk invariance** — a `--deterministic` timeline (samples
 //!    keyed on packets retired in global trace order) is byte-identical
-//!    at 1, 4, and 7 engine threads, for both the batch engine and the
-//!    streaming pipeline, and across chunk sizes.
+//!    at 1, 4, and 7 engine threads, for the batch engine, the streaming
+//!    pipeline across chunk sizes, and zero-drop live ingestion.
 //! 2. **Golden timeline** — the deterministic JSON export over a seeded
 //!    40-packet radix/MRA trace (interval 8) matches a checked-in
 //!    fixture, so any change to the sampler, the logical bucketing, or
@@ -27,9 +27,11 @@ use nettrace::synth::{SyntheticTrace, TraceProfile};
 use nettrace::{Limited, Packet};
 use npobs::timeline::{Stage, TimelineSpec, TIMELINE_SCHEMA_VERSION};
 use npobs::Stamp;
+use npstream::SourceSpec;
 use packetbench::apps::AppId;
 use packetbench::engine::Engine;
 use packetbench::framework::Detail;
+use packetbench::live::{LiveConfig, OnFull};
 use packetbench::stream::StreamConfig;
 
 const GOLDEN_TIMELINE: &str = concat!(
@@ -78,6 +80,21 @@ fn stream_json(threads: usize, chunk_size: usize) -> String {
     run.timeline.unwrap().to_json(&stamp, "radix", "MRA")
 }
 
+fn live_json(threads: usize) -> String {
+    let source = SourceSpec::parse(&format!("synth:mra:seed={SEED}:packets={PACKETS}")).unwrap();
+    let config = LiveConfig {
+        threads,
+        on_full: OnFull::Wait,
+        ..LiveConfig::default()
+    };
+    let run = Engine::new(AppId::Ipv4Radix)
+        .timeline(Some(spec()))
+        .run_live(&source, Detail::counts(), config)
+        .unwrap();
+    let stamp = Stamp::deterministic(TIMELINE_SCHEMA_VERSION);
+    run.timeline.unwrap().to_json(&stamp, "radix", "MRA")
+}
+
 fn check_golden(path: &str, current: &str, what: &str) {
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::write(path, current).unwrap();
@@ -112,9 +129,10 @@ fn deterministic_timeline_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn streaming_timeline_matches_batch_at_every_shape() {
-    // The same trace through the streaming pipeline must produce the
-    // exact bytes the batch engine produced — at any thread count and
-    // chunk size (the fixture is shared).
+    // The same trace through the streaming pipeline, and through live
+    // ingestion with zero drops, must produce the exact bytes the batch
+    // engine produced — at any thread count and chunk size (the fixture
+    // is shared).
     let batch = run_json(1);
     for threads in [1, 4, 7] {
         for chunk_size in [1, 7, 64] {
@@ -124,6 +142,11 @@ fn streaming_timeline_matches_batch_at_every_shape() {
                 "stream timeline differs at threads={threads} chunk_size={chunk_size}"
             );
         }
+        assert_eq!(
+            batch,
+            live_json(threads),
+            "live timeline differs at threads={threads}"
+        );
     }
 }
 

@@ -586,8 +586,7 @@ impl PacketBench {
 
     /// Replaces the hot-trace formation thresholds (and resets warm-up
     /// state and telemetry). [`npsim::TraceParams::disabled`] pins the
-    /// framework to pure block-level execution — the bench uses that for
-    /// its block-vs-trace comparison.
+    /// framework to pure block-level execution.
     pub fn set_trace_params(&mut self, params: npsim::TraceParams) {
         self.block_table.set_trace_params(params);
     }
@@ -640,29 +639,6 @@ impl PacketBench {
         record: &mut PacketRecord,
     ) -> Result<(), BenchError> {
         self.process_with(Some(index), packet, detail, record, &mut NullObserver)
-    }
-
-    /// Runs one packet like [`PacketBench::process_packet_at`], streaming
-    /// execution through an [`npsim::Observer`].
-    ///
-    /// The observer is a *type parameter*, not a trait object: this method
-    /// monomorphizes down to the exact uninstrumented interpreter loops
-    /// when `O` is [`npsim::NullObserver`], so observability never taxes
-    /// unobserved runs (see `DESIGN.md`). The engine's profiled mode runs
-    /// every packet through here with a worker-private observer.
-    ///
-    /// # Errors
-    ///
-    /// See [`PacketBench::process_packet`].
-    pub fn process_packet_observed_at<O: npsim::Observer>(
-        &mut self,
-        index: u64,
-        packet: &Packet,
-        detail: Detail,
-        record: &mut PacketRecord,
-        obs: &mut O,
-    ) -> Result<(), BenchError> {
-        self.process_with(Some(index), packet, detail, record, obs)
     }
 
     /// The one per-packet path: replay a memo hit, or stage the packet,
@@ -1112,16 +1088,23 @@ mod memo_tests {
     fn zipf_traffic_rarely_evicts_a_cached_flow() {
         // 1024 flows in 1024 four-way sets: a flow is displaced only when
         // five or more hash to one set. A direct-mapped cache of the same
-        // 4096 slots evicted on about half of its misses here.
-        let mut b = bench(AppId::Ipv4Radix);
-        b.set_memo(MemoMode::On);
-        let mut trace = SyntheticTrace::new(TraceProfile::zipf(), 20050320);
-        for _ in 0..20_000 {
-            b.process_packet(&trace.next_packet(), Detail::counts())
-                .unwrap();
+        // 4096 slots evicted on about half of its misses here. Both
+        // memoizable apps must also serve at least 90% of packets from
+        // the cache (each reads 18,996 hits and 1,004 misses).
+        const N: u64 = 20_000;
+        for id in [AppId::Ipv4Radix, AppId::Ipv4Trie] {
+            let mut b = bench(id);
+            b.set_memo(MemoMode::On);
+            let mut trace = SyntheticTrace::new(TraceProfile::zipf(), 20050320);
+            for _ in 0..N {
+                b.process_packet(&trace.next_packet(), Detail::counts())
+                    .unwrap();
+            }
+            let c = b.memo_counters();
+            assert!(c.misses > 0 && c.evictions * 10 < c.misses, "{id:?}: {c:?}");
+            assert_eq!(c.hits + c.misses, N, "{id:?}: {c:?}");
+            assert!(c.hits * 10 >= 9 * N, "{id:?}: {c:?}");
         }
-        let c = b.memo_counters();
-        assert!(c.misses > 0 && c.evictions * 10 < c.misses, "{c:?}");
     }
 
     #[test]

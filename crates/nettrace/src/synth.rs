@@ -16,8 +16,6 @@
 //! Everything is driven by a seeded PRNG: the same profile and seed always
 //! generate byte-identical packets.
 
-use std::fmt;
-
 use nprng::rngs::StdRng;
 use nprng::{Rng, SeedableRng};
 
@@ -59,30 +57,6 @@ pub struct ZipfParams {
     /// Skew exponent in hundredths: `100` is the classic `s = 1.0`.
     pub skew_centi: u32,
 }
-
-/// A profile that models flow reuse was passed to a consumer that requires
-/// the paper's reuse-free traces (e.g. the committed throughput baseline,
-/// which caching layers would inflate).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReuseNotAllowed {
-    /// Name of the offending profile.
-    pub profile: &'static str,
-    /// What required a reuse-free trace.
-    pub context: &'static str,
-}
-
-impl fmt::Display for ReuseNotAllowed {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "profile `{}` models flow reuse and cannot be used for {} \
-             (use one of the reuse-free paper traces: MRA, COS, ODU, LAN)",
-            self.profile, self.context
-        )
-    }
-}
-
-impl std::error::Error for ReuseNotAllowed {}
 
 /// The shape of one synthetic trace, modelled on a paper trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -254,23 +228,6 @@ impl TraceProfile {
     /// for the four paper traces, false for `zipf`).
     pub fn is_reuse_free(&self) -> bool {
         self.zipf.is_none()
-    }
-
-    /// Rejects flow-reuse profiles with a typed error naming the consumer
-    /// that requires a reuse-free trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReuseNotAllowed`] when the profile models flow reuse.
-    pub fn require_reuse_free(&self, context: &'static str) -> Result<(), ReuseNotAllowed> {
-        if self.is_reuse_free() {
-            Ok(())
-        } else {
-            Err(ReuseNotAllowed {
-                profile: self.name,
-                context,
-            })
-        }
     }
 
     /// A human-readable link description, as in paper Table I.
@@ -795,13 +752,8 @@ mod tests {
     fn reuse_free_gate_rejects_zipf_only() {
         for p in TraceProfile::all() {
             assert!(p.is_reuse_free());
-            assert!(p.require_reuse_free("anything").is_ok());
         }
         let z = TraceProfile::zipf();
         assert!(!z.is_reuse_free());
-        let err = z.require_reuse_free("the throughput baseline").unwrap_err();
-        assert_eq!(err.profile, "zipf");
-        let message = err.to_string();
-        assert!(message.contains("zipf") && message.contains("throughput baseline"));
     }
 }

@@ -24,12 +24,13 @@
 //! * [`status`] — the shared rate-limited stderr line writer that keeps
 //!   progress, memoization, and `--watch` output from interleaving;
 //! * [`stamp`] — schema version, git commit, and ISO-8601 timestamps so
-//!   metrics and benchmark artifacts are traceable across PRs.
+//!   metrics and timeline artifacts are traceable across commits.
 //!
 //! The instrumentation is *zero-cost when off*: every hook is
 //! monomorphized through the `Observer` type parameter of the `npsim`
 //! interpreter loops, so the no-op observer compiles to exactly the
-//! uninstrumented loops (guarded by the throughput benchmark).
+//! uninstrumented loops (guarded by CI's ledger compare of `pb`
+//! throughput against the base commit).
 
 pub mod export;
 pub mod heat;

@@ -1,6 +1,6 @@
 //! Artifact provenance: schema version, git commit, ISO-8601 timestamp.
 //!
-//! Every metrics document and benchmark JSON the workspace writes gets a
+//! Every metrics document and timeline the workspace writes gets a
 //! [`Stamp`] so a file found on disk (or attached to a CI run) can be
 //! traced back to the commit and time that produced it, and so consumers
 //! can detect schema drift. No external crates: the commit comes from
@@ -19,10 +19,6 @@ use std::time::{SystemTime, UNIX_EPOCH};
 /// `trace_hits`, `trace_guard_exits`, `trace_declines`; Prometheus
 /// `pb_trace_*_total`).
 pub const METRICS_SCHEMA_VERSION: u32 = 4;
-
-/// Version of the benchmark JSON layout (`BENCH_throughput.json`,
-/// `BENCH_conform.json`).
-pub const BENCH_SCHEMA_VERSION: u32 = 1;
 
 /// Provenance attached to exported artifacts.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -162,7 +158,7 @@ mod tests {
 
     #[test]
     fn live_stamp_has_plausible_fields() {
-        let s = Stamp::new(BENCH_SCHEMA_VERSION);
+        let s = Stamp::new(METRICS_SCHEMA_VERSION);
         assert!(!s.git_commit.is_empty());
         assert!(s.timestamp.ends_with('Z'));
     }

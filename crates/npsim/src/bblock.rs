@@ -482,8 +482,8 @@ impl BlockTable {
 
     /// Replaces the trace layer's formation parameters, resetting any
     /// warm-up progress and formed traces. The conformance harness runs
-    /// with [`TraceParams::eager`]; the bench's block-vs-trace comparison
-    /// pins one engine to [`TraceParams::disabled`].
+    /// with [`TraceParams::eager`]; [`TraceParams::disabled`] pins the
+    /// table to block-level execution.
     pub fn set_trace_params(&mut self, params: TraceParams) {
         *self.trace.borrow_mut() = TraceState::new(self.map.num_blocks(), params);
     }

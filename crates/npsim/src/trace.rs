@@ -103,7 +103,7 @@ impl TraceParams {
     }
 
     /// Parameters that never form a trace, pinning the engine to pure
-    /// block-level execution (the bench's block-vs-trace comparison).
+    /// block-level execution.
     pub fn disabled() -> TraceParams {
         TraceParams {
             warmup_runs: u64::MAX,

@@ -20,8 +20,8 @@
 //!   sources `pb run` builds from `--pcap` or `--trace`/`--seed`)
 //!   (`capture.pcap`, `trace.tsh`, `synth:mra:seed=42:packets=10000000`)
 //!   into [`nettrace::PacketSource`] instances,
-//! * [`peak_rss_kb`] — the peak-RSS probe behind the bounded-memory
-//!   checks in CI and the stream benchmark.
+//! * [`peak_rss_kb`] — the peak-RSS probe behind the `peak rss` line
+//!   that `pb run` and `pb stream` print.
 //!
 //! The concrete engine integration (`Engine::run_streaming`) lives in the
 //! `packetbench` crate; this crate stays dependency-light (only

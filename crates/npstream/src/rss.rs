@@ -1,8 +1,8 @@
 //! Peak-RSS probing for the bounded-memory guarantee.
 //!
 //! The streaming pipeline's whole point is that memory stays flat while
-//! the trace grows; the CI soak job and the stream benchmark check that by
-//! reading the process's high-water resident set after a run. On Linux
+//! the trace grows; `pb` shows that by reporting the process's
+//! high-water resident set after a run. On Linux
 //! this is `VmHWM` in `/proc/self/status`; elsewhere the probe reports
 //! `None` and callers degrade to reporting throughput only.
 

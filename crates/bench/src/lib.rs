@@ -1,6 +1,4 @@
-//! Shared harness logic for the PacketBench benchmark suite: the
-//! table/figure regeneration used by the `report` binary and the Criterion
-//! benches.
+//! The table/figure regeneration behind the `report` binary.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,7 +15,7 @@ use packetbench::framework::{Detail, PacketBench};
 use packetbench::{report, WorkloadConfig};
 
 /// Seed used for every generated trace: the reports are deterministic.
-pub const TRACE_SEED: u64 = 2005_0320; // ISPASS 2005
+const TRACE_SEED: u64 = 2005_0320; // ISPASS 2005
 
 /// Simulated packets since the last [`take_packets_processed`] call —
 /// `report_main` uses this for its throughput summary line.
@@ -69,14 +67,14 @@ impl Counts {
 }
 
 /// Builds an initialized framework for one application.
-pub fn bench_for(id: AppId, config: &WorkloadConfig) -> PacketBench {
+fn bench_for(id: AppId, config: &WorkloadConfig) -> PacketBench {
     let app = App::build(id, config).expect("application assembles");
     PacketBench::with_config(app, config).expect("framework initializes")
 }
 
 /// Runs `packets` of `profile` through `id` serially and returns the
 /// accumulated analysis.
-pub fn analyze(
+fn analyze(
     id: AppId,
     profile: TraceProfile,
     packets: usize,

@@ -87,6 +87,29 @@ fn run_leg(
     })
 }
 
+/// The per-packet fields where a counts-only `record` differs from the
+/// reference leg's observation: what the engine and memo legs compare.
+fn differing_fields(
+    reference: &LegRecord,
+    record: &PacketRecord,
+) -> impl Iterator<Item = &'static str> {
+    let (r, e) = (&reference.outcome.stats, &record.stats);
+    [
+        ("instret", r.instret == e.instret),
+        ("executed", r.executed == e.executed),
+        ("mem", r.mem == e.mem),
+        ("halt", r.halt == e.halt),
+        ("verdict", reference.verdict == record.verdict),
+        (
+            "return_value",
+            reference.return_value == record.return_value,
+        ),
+    ]
+    .into_iter()
+    .filter(|&(_, same)| !same)
+    .map(|(field, _)| field)
+}
+
 /// Stop collecting divergences per app beyond this many; one real bug
 /// diverges on nearly every packet and drowning the report helps nobody.
 const MAX_DIVERGENCES: usize = 24;
@@ -214,23 +237,8 @@ pub fn check_app(id: AppId, packets: &[Packet], threads: usize) -> Result<AppRep
     if divergences.len() < MAX_DIVERGENCES {
         let engine = Engine::with_config(id, config).run(packets, Detail::counts(), threads)?;
         for (i, (reference, record)) in reference_legs.iter().zip(&engine.records).enumerate() {
-            let r = &reference.outcome.stats;
-            let e = &record.stats;
-            for (field, same) in [
-                ("instret", r.instret == e.instret),
-                ("op_mix", r.op_mix == e.op_mix),
-                ("executed", r.executed == e.executed),
-                ("mem", r.mem == e.mem),
-                ("halt", r.halt == e.halt),
-                ("verdict", reference.verdict == record.verdict),
-                (
-                    "return_value",
-                    reference.return_value == record.return_value,
-                ),
-            ] {
-                if !same {
-                    divergences.push(format!("packet {i} engine({threads}): {field} differs"));
-                }
+            for field in differing_fields(reference, record) {
+                divergences.push(format!("packet {i} engine({threads}): {field} differs"));
             }
             if divergences.len() >= MAX_DIVERGENCES {
                 break;
@@ -277,23 +285,8 @@ pub fn check_app(id: AppId, packets: &[Packet], threads: usize) -> Result<AppRep
                 let Some(reference) = reference_legs.get(i) else {
                     break 'memo;
                 };
-                let r = &reference.outcome.stats;
-                let e = &record.stats;
-                for (field, same) in [
-                    ("instret", r.instret == e.instret),
-                    ("op_mix", r.op_mix == e.op_mix),
-                    ("executed", r.executed == e.executed),
-                    ("mem", r.mem == e.mem),
-                    ("halt", r.halt == e.halt),
-                    ("verdict", reference.verdict == record.verdict),
-                    (
-                        "return_value",
-                        reference.return_value == record.return_value,
-                    ),
-                ] {
-                    if !same {
-                        divergences.push(format!("packet {i} memo(pass {pass}): {field} differs"));
-                    }
+                for field in differing_fields(reference, &record) {
+                    divergences.push(format!("packet {i} memo(pass {pass}): {field} differs"));
                 }
                 if divergences.len() >= MAX_DIVERGENCES {
                     break 'memo;

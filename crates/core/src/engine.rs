@@ -635,7 +635,6 @@ mod tests {
                         a.stats.instret, b.stats.instret,
                         "{id:?} threads={threads} packet {i}"
                     );
-                    assert_eq!(a.stats.op_mix, b.stats.op_mix, "{id:?} t={threads} p={i}");
                     assert_eq!(a.stats.mem, b.stats.mem, "{id:?} t={threads} p={i}");
                     assert_eq!(a.verdict, b.verdict, "{id:?} t={threads} p={i}");
                     assert_eq!(a.return_value, b.return_value, "{id:?} t={threads} p={i}");

@@ -14,7 +14,6 @@ use std::fmt;
 use nettrace::{Packet, Timestamp};
 use npsim::bblock::{BlockMap, BlockTable};
 use npsim::cpu::HaltReason;
-use npsim::uarch::OpMix;
 use npsim::util::BitSet;
 use npsim::{
     reg, Cpu, Interpreter, MemCounts, MemoCache, MemoCounters, MemoKey, Memory, MemoryMap,
@@ -160,7 +159,6 @@ impl fmt::Display for MemoRefusal {
 #[derive(Debug, Clone)]
 struct MemoEntry {
     instret: u64,
-    op_mix: OpMix,
     executed: BitSet,
     mem: MemCounts,
     halt: HaltReason,
@@ -172,7 +170,6 @@ impl MemoEntry {
     fn from_record(record: &PacketRecord) -> MemoEntry {
         MemoEntry {
             instret: record.stats.instret,
-            op_mix: record.stats.op_mix,
             executed: record.stats.executed.clone(),
             mem: record.stats.mem,
             halt: record.stats.halt,
@@ -186,7 +183,6 @@ impl MemoEntry {
     fn overwrite_from(&mut self, record: &PacketRecord) {
         let stats = &record.stats;
         self.instret = stats.instret;
-        self.op_mix = stats.op_mix;
         self.executed.copy_from(&stats.executed);
         self.mem = stats.mem;
         self.halt = stats.halt;
@@ -198,7 +194,6 @@ impl MemoEntry {
     fn apply(&self, record: &mut PacketRecord) {
         let stats = &mut record.stats;
         stats.instret = self.instret;
-        stats.op_mix = self.op_mix;
         stats.executed.copy_from(&self.executed);
         stats.mem = self.mem;
         stats.halt = self.halt;
@@ -216,9 +211,6 @@ impl MemoEntry {
                 "instret: cached {}, live {}",
                 self.instret, record.stats.instret
             ));
-        }
-        if self.op_mix != record.stats.op_mix {
-            return Some("instruction mix differs".into());
         }
         if self.executed != record.stats.executed {
             return Some("executed-instruction set differs".into());
@@ -1119,7 +1111,6 @@ mod memo_tests {
                 let a = live.process_packet(&p, Detail::counts()).unwrap();
                 let b = memo.process_packet(&p, Detail::counts()).unwrap();
                 assert_eq!(a.stats.instret, b.stats.instret, "{id:?} packet {i}");
-                assert_eq!(a.stats.op_mix, b.stats.op_mix, "{id:?} packet {i}");
                 assert_eq!(a.stats.executed, b.stats.executed, "{id:?} packet {i}");
                 assert_eq!(a.stats.mem, b.stats.mem, "{id:?} packet {i}");
                 assert_eq!(a.stats.halt, b.stats.halt, "{id:?} packet {i}");

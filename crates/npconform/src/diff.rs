@@ -65,7 +65,6 @@ impl Outcome {
 
         check("result", &self.result, &other.result);
         check("instret", &self.stats.instret, &other.stats.instret);
-        check("op_mix", &self.stats.op_mix, &other.stats.op_mix);
         check("executed", &self.stats.executed, &other.stats.executed);
         check(
             "mem.packet_reads",

@@ -292,7 +292,6 @@ impl Interpreter for RefCpu {
             let inst = decode(self.words[index])?;
             stats.instret += 1;
             stats.executed.insert(index);
-            stats.op_mix.record(inst.op);
             if config.record_pc_trace {
                 stats.pc_trace.push(self.pc);
             }

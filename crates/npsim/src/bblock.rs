@@ -26,7 +26,6 @@ use std::ops::Range;
 use crate::cpu::Program;
 use crate::isa::{Op, OpClass};
 use crate::trace::{TraceParams, TraceState, TraceStats};
-use crate::uarch::OpMix;
 use crate::util::BitSet;
 
 /// The partition of a program into basic blocks.
@@ -402,8 +401,6 @@ pub(crate) struct BlockEntry {
     /// contiguous, so this is simply this block's id plus one when in
     /// range.
     pub(crate) next_block: u32,
-    /// Fused op-class mix for one full retire of the block.
-    pub(crate) mix: OpMix,
     /// Statically-classified access groups, gated at runtime.
     pub(crate) groups: Vec<MemGroup>,
     /// Start of this block's micro-ops in [`BlockTable::uops`].
@@ -441,11 +438,6 @@ pub struct BlockTable {
     /// Scratch per-block seen set, reused across runs so the block engine
     /// stays zero-allocation per packet.
     seen: RefCell<BitSet>,
-    /// Scratch per-block retire counts, all-zero between runs. The engine
-    /// counts retires here and folds `mix * retires` into the run's op mix
-    /// once per seen block at run end, instead of seven u64 adds per
-    /// retire.
-    retires: RefCell<Vec<u64>>,
     /// The hot-trace layer: warm-up counters, formed traces, per-run
     /// trace retires, telemetry. Lives on the table (not the `Cpu`) so it
     /// persists across per-packet CPU reconstruction and across runs.
@@ -467,7 +459,6 @@ impl BlockTable {
             .map(|b| Self::decode_block(program, &map, b, &mut uops))
             .collect();
         let seen = RefCell::new(BitSet::new(map.num_blocks()));
-        let retires = RefCell::new(vec![0u64; map.num_blocks()]);
         let trace = RefCell::new(TraceState::new(map.num_blocks(), TraceParams::default()));
         BlockTable {
             map,
@@ -475,7 +466,6 @@ impl BlockTable {
             entries,
             uops,
             seen,
-            retires,
             trace,
         }
     }
@@ -559,11 +549,6 @@ impl BlockTable {
             _ => TermKind::Fall,
         };
 
-        let mut mix = OpMix::default();
-        for inst in &insts[range.clone()] {
-            mix.record(inst.op);
-        }
-
         // The internal instructions are everything before the terminator;
         // for `Fall` blocks every instruction (including the last) is
         // internal, because the block only ends at a join point.
@@ -586,7 +571,6 @@ impl BlockTable {
             } else {
                 u32::MAX
             },
-            mix,
             groups,
             uop_start,
             uop_len,
@@ -1098,18 +1082,6 @@ impl BlockTable {
         seen
     }
 
-    /// Borrows the per-block retire-count scratch. The caller must zero
-    /// every entry it incremented before dropping the borrow (the engine
-    /// does so while folding seen blocks), keeping the all-zero invariant
-    /// without an O(num_blocks) clear per run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous borrow is still live.
-    pub(crate) fn retire_scratch(&self) -> RefMut<'_, Vec<u64>> {
-        self.retires.borrow_mut()
-    }
-
     /// The predecoded entry for block `b`.
     #[inline(always)]
     pub(crate) fn entry(&self, b: usize) -> &BlockEntry {
@@ -1301,9 +1273,9 @@ mod tests {
         assert_eq!(uops.len(), 2);
         assert_eq!(uops[0].kind, UOpKind::LoadDiscard);
         assert_eq!(uops[1].kind, UOpKind::Sw);
-        // The block-level mix still counts all four original instructions
-        // plus the terminator.
-        assert_eq!(e.mix.total(), 5);
+        // The block still retires all four original instructions plus
+        // the terminator.
+        assert_eq!(e.len, 5);
     }
 
     #[test]

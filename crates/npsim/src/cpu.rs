@@ -14,7 +14,7 @@ use crate::isa::{Inst, Op, Reg};
 use crate::mem::{AccessKind, MemEvent, Memory, MemoryMap, Region};
 use crate::obs::{NullObserver, Observer};
 use crate::trace::{Guard, TraceEntry};
-use crate::uarch::{OpMix, Uarch, UarchConfig};
+use crate::uarch::{Uarch, UarchConfig};
 use crate::util::BitSet;
 use crate::RETURN_SENTINEL;
 
@@ -280,8 +280,6 @@ impl UarchStats {
 pub struct RunStats {
     /// Instructions executed.
     pub instret: u64,
-    /// Executed-instruction counts by opcode class.
-    pub op_mix: OpMix,
     /// Which static instructions executed at least once
     /// (index = instruction index in the program).
     pub executed: BitSet,
@@ -308,7 +306,6 @@ impl RunStats {
     pub fn for_program(len: usize) -> RunStats {
         RunStats {
             instret: 0,
-            op_mix: OpMix::new(),
             executed: BitSet::new(len),
             mem: MemCounts::default(),
             pc_trace: Vec::new(),
@@ -323,7 +320,6 @@ impl RunStats {
     /// what makes repeated packet runs allocation-free.
     pub fn reset_for(&mut self, len: usize) {
         self.instret = 0;
-        self.op_mix = OpMix::new();
         if self.executed.capacity() == len {
             self.executed.clear();
         } else {
@@ -751,7 +747,6 @@ impl<'p> Cpu<'p> {
             let inst = insts[index];
             stats.instret += 1;
             stats.executed.insert(index);
-            stats.op_mix.record(inst.op);
             obs.on_inst(self.pc, index, &inst);
             if FULL {
                 if config.record_pc_trace {
@@ -933,7 +928,7 @@ impl<'p> Cpu<'p> {
     /// block at a time against a predecoded [`BlockTable`].
     ///
     /// Per fully-retired block this applies one fused delta (instruction
-    /// count, op-class mix, unique-coverage bit) and, when the runtime
+    /// count, unique-coverage bit) and, when the runtime
     /// region gate passes, the block's statically-grouped memory-access
     /// counts — then follows a pre-resolved successor link, so the hot
     /// loop does no per-instruction PC translation, dispatch bookkeeping,
@@ -983,7 +978,6 @@ impl<'p> Cpu<'p> {
         // leader's bit and then fault mid-block — expanding leader bits
         // would over-mark.
         let mut seen = table.seen_scratch();
-        let mut retires = table.retire_scratch();
         let mut tstate = table.trace_scratch();
         if TRACES {
             tstate.tick(table, text_base);
@@ -1075,14 +1069,11 @@ impl<'p> Cpu<'p> {
                     break 'run;
                 }
 
-                // Fused retire: the whole block's instruction count,
-                // op-class mix, and coverage in one shot, before the
-                // terminator runs — matching the per-instruction order
-                // where accounting precedes the `sys`/`halt` dispatch.
-                // The mix itself folds in at run end (`mix * retires`),
-                // so a retire is two increments, not seven u64 adds.
+                // Fused retire: the whole block's instruction count and
+                // coverage in one shot, before the terminator runs —
+                // matching the per-instruction order where accounting
+                // precedes the `sys`/`halt` dispatch.
                 stats.instret += len;
-                retires[b] += 1;
                 seen.insert(b);
                 if train {
                     heat[b] += 1;
@@ -1279,21 +1270,19 @@ impl<'p> Cpu<'p> {
         }
 
         // Guard-exited trace prefixes were deferred to O(1) per-exit-point
-        // counters during the run; fold each touched exit point as one
-        // scaled merge of its precomputed prefix mix plus coverage over
-        // the prefix's distinct blocks — never a per-block retire walk.
-        // `exited` keeps the fold from scanning untouched traces.
+        // counters during the run; fold each touched exit point as
+        // coverage over the prefix's distinct blocks — never a per-block
+        // retire walk. `exited` keeps the fold from scanning untouched
+        // traces.
         if TRACES {
             for (t, tr) in traces.iter().enumerate() {
                 if std::mem::take(&mut exited[t]) == 0 {
                     continue;
                 }
                 for (i, times) in exit_retires[t].iter_mut().enumerate() {
-                    let times = std::mem::take(times);
-                    if times == 0 {
+                    if std::mem::take(times) == 0 {
                         continue;
                     }
-                    stats.op_mix.merge_scaled(&tr.prefix_mix[i], times);
                     let hi = tr.segs[i].distinct_hi as usize;
                     for &blk in &tr.blocks[..hi] {
                         for idx in table.block_map().block_range(blk as usize) {
@@ -1304,28 +1293,21 @@ impl<'p> Cpu<'p> {
             }
         }
         // Expand fully-retired blocks into per-instruction coverage bits
-        // and fold the deferred op-mix deltas — on every exit, including
-        // faults, so partial runs compare equal to the per-instruction
-        // loop. Zeroing each visited retire count restores the scratch's
-        // all-zero invariant without an O(num_blocks) clear.
+        // — on every exit, including faults, so partial runs compare
+        // equal to the per-instruction loop.
         for b in seen.iter() {
             for i in table.block_map().block_range(b) {
                 stats.executed.insert(i);
             }
-            let times = std::mem::take(&mut retires[b]);
-            stats.op_mix.merge_scaled(&table.entry(b).mix, times);
         }
-        // Fold complete trace trips the same way: one scaled mix merge
-        // per trace plus member-block coverage expansion (instret was
-        // already added per trip). Traces are few, so iterating them all
-        // is cheaper than tracking a seen set.
+        // Fold complete trace trips the same way: member-block coverage
+        // expansion (instret was already added per trip). Traces are
+        // few, so iterating them all is cheaper than tracking a seen set.
         if TRACES {
             for (t, tr) in traces.iter().enumerate() {
-                let times = std::mem::take(&mut trace_retires[t]);
-                if times == 0 {
+                if std::mem::take(&mut trace_retires[t]) == 0 {
                     continue;
                 }
-                stats.op_mix.merge_scaled(&tr.mix, times);
                 for &blk in &tr.blocks {
                     for i in table.block_map().block_range(blk as usize) {
                         stats.executed.insert(i);
@@ -1334,7 +1316,6 @@ impl<'p> Cpu<'p> {
             }
         }
         drop(seen);
-        drop(retires);
         drop(tstate);
 
         if bail {
@@ -1355,7 +1336,7 @@ impl<'p> Cpu<'p> {
     /// by the member's guard. Nothing inside a trip can fault or observe
     /// statistics (micro-ops never fault, `sys` is never trace-internal,
     /// the budget was pre-checked), so deferring the whole trip's
-    /// instret/mix/coverage to one fused delta at completion is
+    /// instret/coverage to one fused delta at completion is
     /// unobservable. A mispredicted guard exits with the architectural
     /// state the block path would have had at the same point; its prefix
     /// retire is itself deferred — one bump of the member's exit counter
@@ -1428,10 +1409,9 @@ impl<'p> Cpu<'p> {
                         _ => a >= b,
                     };
                     if t != expect {
-                        // Mispredict: fall off the trace. The prefix
-                        // retire is deferred to the run-end fold, which
-                        // applies this exit point's precomputed prefix
-                        // mix and coverage in one merge.
+                        // Mispredict: fall off the trace. The prefix's
+                        // coverage is deferred to the run-end fold, which
+                        // expands this exit point's distinct blocks once.
                         *guard_exits += 1;
                         *exited += 1;
                         exit_retires[i] += 1;
@@ -1447,8 +1427,8 @@ impl<'p> Cpu<'p> {
             }
         }
 
-        // Complete trip: one fused delta (mix and coverage fold at run
-        // end through the per-trace retire count).
+        // Complete trip: one fused delta (coverage folds at run end
+        // through the per-trace retire count).
         stats.instret += tr.total_len;
         *trace_retire += 1;
         self.pc = tr.next_pc;
@@ -2019,25 +1999,6 @@ mod tests {
         assert_eq!(u.icache_accesses, stats.instret);
     }
 
-    #[test]
-    fn op_mix_accumulates() {
-        let (_, stats) = run_program(
-            vec![
-                Inst::with_imm(Op::Addi, reg::T0, reg::ZERO, 3),
-                Inst::with_imm(Op::Lw, reg::T1, reg::GP, 0),
-                Inst::store(Op::Sw, reg::T1, reg::GP, 4),
-                Inst::jr(reg::RA),
-            ],
-            |_, _| {},
-        );
-        use crate::isa::OpClass;
-        assert_eq!(stats.op_mix.count(OpClass::Alu), 1);
-        assert_eq!(stats.op_mix.count(OpClass::Load), 1);
-        assert_eq!(stats.op_mix.count(OpClass::Store), 1);
-        assert_eq!(stats.op_mix.count(OpClass::Jump), 1);
-        assert_eq!(stats.op_mix.total(), stats.instret);
-    }
-
     /// Runs `insts` under the forced counts loop and the forced block
     /// engine with identical seeding and asserts every observable — the
     /// result, all statistics, the register file, the PC, and a memory
@@ -2064,7 +2025,6 @@ mod tests {
         let (r1, s1, st1, d1) = outcomes.remove(0);
         assert_eq!(r0, r1, "run result");
         assert_eq!(s0.instret, s1.instret, "instret");
-        assert_eq!(s0.op_mix, s1.op_mix, "op mix");
         assert_eq!(s0.executed, s1.executed, "executed set");
         assert_eq!(s0.mem, s1.mem, "mem counts");
         assert_eq!(s0.halt, s1.halt, "halt reason");
@@ -2109,7 +2069,6 @@ mod tests {
             let (r1, s1, st1, d1) = outcomes.remove(0);
             assert_eq!(r0, r1, "run {run}: result");
             assert_eq!(s0.instret, s1.instret, "run {run}: instret");
-            assert_eq!(s0.op_mix, s1.op_mix, "run {run}: op mix");
             assert_eq!(s0.executed, s1.executed, "run {run}: executed set");
             assert_eq!(s0.mem, s1.mem, "run {run}: mem counts");
             assert_eq!(s0.halt, s1.halt, "run {run}: halt reason");

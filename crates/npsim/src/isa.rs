@@ -452,7 +452,7 @@ impl Op {
             .find(|op| op.mnemonic() == m)
     }
 
-    /// The coarse class of the opcode, used for instruction-mix statistics.
+    /// The coarse class of the opcode.
     pub fn class(self) -> OpClass {
         use Op::*;
         match self {
@@ -493,8 +493,8 @@ impl fmt::Display for Op {
     }
 }
 
-/// Coarse opcode classes for the instruction-mix statistic
-/// (paper §V: "traditional micro-architectural statistics").
+/// Coarse opcode classes: what the branch/jump predicates, the
+/// micro-architectural timing model and the block decoder dispatch on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OpClass {
     /// Integer ALU operations (including immediate forms and `lui`).
@@ -511,38 +511,6 @@ pub enum OpClass {
     Jump,
     /// `sys` and `halt`.
     System,
-}
-
-impl OpClass {
-    /// All classes, in display order.
-    pub const ALL: [OpClass; 7] = [
-        OpClass::Alu,
-        OpClass::MulDiv,
-        OpClass::Load,
-        OpClass::Store,
-        OpClass::Branch,
-        OpClass::Jump,
-        OpClass::System,
-    ];
-
-    /// A short display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            OpClass::Alu => "alu",
-            OpClass::MulDiv => "muldiv",
-            OpClass::Load => "load",
-            OpClass::Store => "store",
-            OpClass::Branch => "branch",
-            OpClass::Jump => "jump",
-            OpClass::System => "system",
-        }
-    }
-}
-
-impl fmt::Display for OpClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
 }
 
 /// A decoded NP32 instruction.

@@ -7,7 +7,7 @@
 //! instruction at a time while the simulator records everything the paper's
 //! workload analysis needs:
 //!
-//! * total and per-opcode instruction counts (instruction mix),
+//! * total instruction counts,
 //! * the set of *unique* instruction addresses executed,
 //! * every data-memory access, classified into **packet memory** and
 //!   **non-packet memory** by address region (the paper's key distinction),

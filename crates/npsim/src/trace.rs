@@ -13,8 +13,8 @@
 //! terminator becomes a *guard* — fall-through and static jumps pass
 //! unconditionally, conditional branches are predicted in their biased
 //! direction — and a complete trip through the trace applies **one**
-//! fused statistics delta (instruction count, op-class mix) instead of
-//! one per member. A mispredicted guard exits the trace mid-trip,
+//! fused statistics delta (instruction count, coverage) instead of one
+//! per member. A mispredicted guard exits the trace mid-trip,
 //! retiring the already-executed prefix at block granularity, and hands
 //! control back to block-level execution — so every observable outcome
 //! stays bit-identical to the per-instruction reference semantics (the
@@ -31,7 +31,6 @@
 
 use crate::bblock::{BlockTable, MemGroup, TermKind, UOp, UOpKind};
 use crate::isa::Op;
-use crate::uarch::OpMix;
 
 /// Thresholds for the one-shot trace-formation pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,11 +188,6 @@ pub(crate) struct TraceEntry {
     /// Unique member block ids in first-seen order, for coverage
     /// expansion at run end (`TraceSeg::distinct_hi` prefixes this).
     pub(crate) blocks: Vec<u32>,
-    /// Fused op-class mix for members `0..=i` — the one-merge delta for
-    /// a trip that exits at member `i`'s guard.
-    pub(crate) prefix_mix: Vec<OpMix>,
-    /// Fused op-class mix for one complete trip.
-    pub(crate) mix: OpMix,
     /// Fused instruction count for one complete trip.
     pub(crate) total_len: u64,
     /// Where a completed trip continues — always a static in-text block,
@@ -227,13 +221,12 @@ pub(crate) struct TraceState {
     pub(crate) trace_of: Vec<u32>,
     pub(crate) traces: Vec<TraceEntry>,
     /// Per-trace complete-trip counts for the current run; folded into
-    /// the run's op mix and coverage at run end, then re-zeroed (same
-    /// deferred scheme as the block-level retire scratch).
+    /// the run's coverage at run end, then re-zeroed.
     pub(crate) retires: Vec<u64>,
     /// Per-trace, per-member guard-exit counts for the current run: a
     /// mispredict at member `i` bumps `exit_retires[t][i]` and nothing
     /// else, so falling off a trace is O(1); the run-end fold expands
-    /// each exit point into block-level retires for its prefix.
+    /// each exit point into coverage for its prefix.
     pub(crate) exit_retires: Vec<Vec<u64>>,
     /// Per-trace sum of `exit_retires[t]` for the current run — lets the
     /// run-end fold skip untouched traces without walking their members.
@@ -305,9 +298,7 @@ impl TraceState {
         let mut uops: Vec<UOp> = Vec::new();
         let mut groups: Vec<MemGroup> = Vec::new();
         let mut blocks: Vec<u32> = Vec::new();
-        let mut prefix_mix: Vec<OpMix> = Vec::new();
         let mut total_len = 0u64;
-        let mut mix = OpMix::new();
         let mut cur = head;
         let mut next = u32::MAX;
         // True once any chained branch was weakly biased; see
@@ -325,8 +316,6 @@ impl TraceState {
                 break;
             };
             total_len += entry.len as u64;
-            mix.merge_scaled(&entry.mix, 1);
-            prefix_mix.push(mix);
             if !blocks.contains(&(cur as u32)) {
                 blocks.push(cur as u32);
             }
@@ -357,24 +346,14 @@ impl TraceState {
         if segs.len() < 2 {
             return None;
         }
-        let (nseg, nuop) = (segs.len(), uops.len());
-        merge_segs(&mut segs, &mut prefix_mix, &uops, &groups);
+        merge_segs(&mut segs, &uops, &groups);
         peephole(&mut uops, &mut segs);
-        if std::env::var_os("NPSIM_TRACE_DEBUG").is_some() {
-            eprintln!(
-                "trace head b{head}: {nseg} -> {} segs, {nuop} -> {} uops",
-                segs.len(),
-                uops.len()
-            );
-        }
         let next_pc = text_base.wrapping_add(table.entry(next as usize).first * 4);
         Some(TraceEntry {
             segs,
             uops,
             groups,
             blocks,
-            prefix_mix,
-            mix,
             total_len,
             next_block: next,
             next_pc,
@@ -475,14 +454,8 @@ impl TraceState {
 /// the wrong region), so a boundary is only elided when no preceding uop
 /// in the merged segment writes any of the next member's base registers.
 /// Link jumps write `ra` mid-trace and are left unmerged.
-fn merge_segs(
-    segs: &mut Vec<TraceSeg>,
-    prefix_mix: &mut Vec<OpMix>,
-    uops: &[UOp],
-    groups: &[MemGroup],
-) {
+fn merge_segs(segs: &mut Vec<TraceSeg>, uops: &[UOp], groups: &[MemGroup]) {
     let mut out_segs: Vec<TraceSeg> = Vec::with_capacity(segs.len());
-    let mut out_mix: Vec<OpMix> = Vec::with_capacity(prefix_mix.len());
     // Start of the merged segment currently being grown.
     let mut seg_uop_start = 0usize;
     for (i, &seg) in segs.iter().enumerate() {
@@ -502,11 +475,9 @@ fn merge_segs(
             }
         }
         out_segs.push(seg);
-        out_mix.push(prefix_mix[i]);
         seg_uop_start = seg.uop_end as usize;
     }
     *segs = out_segs;
-    *prefix_mix = out_mix;
 }
 
 /// Formation-time superop pass over a trace's flattened micro-op stream.

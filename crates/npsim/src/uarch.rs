@@ -1,8 +1,8 @@
 //! Optional micro-architectural side models.
 //!
 //! The paper notes that PacketBench inherits "traditional micro-architectural
-//! statistics" from the underlying processor simulator (instruction mix,
-//! branch misprediction rates, cache behaviour). These models reproduce that
+//! statistics" from the underlying processor simulator (branch
+//! misprediction rates, cache behaviour). These models reproduce that
 //! capability: they observe the executed instruction stream without
 //! affecting architectural state.
 
@@ -246,72 +246,6 @@ impl Cache {
     }
 }
 
-/// Instruction-mix accumulator: executed-instruction counts per opcode
-/// class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpMix {
-    counts: [u64; 7],
-}
-
-impl OpMix {
-    /// Creates an empty mix.
-    pub fn new() -> OpMix {
-        OpMix::default()
-    }
-
-    /// Records one executed instruction.
-    #[inline]
-    pub fn record(&mut self, op: Op) {
-        self.counts[op.class() as usize] += 1;
-    }
-
-    /// The count for a class.
-    pub fn count(&self, class: OpClass) -> u64 {
-        self.counts[class as usize]
-    }
-
-    /// Total instructions recorded.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// The fraction of instructions in `class` (0 if empty).
-    pub fn fraction(&self, class: OpClass) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.count(class) as f64 / total as f64
-        }
-    }
-
-    /// Adds another mix into this one.
-    pub fn merge(&mut self, other: &OpMix) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-    }
-
-    /// Adds `times` copies of another mix into this one (the superblock
-    /// engine folds a block's static mix in once per run, scaled by its
-    /// retire count, instead of once per retire).
-    #[inline]
-    pub fn merge_scaled(&mut self, other: &OpMix, times: u64) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b * times;
-        }
-    }
-
-    /// Iterates `(class, executed count)` over every opcode class in
-    /// [`OpClass::ALL`] order — the stable ordering the metrics exporters
-    /// rely on.
-    pub fn iter(&self) -> impl Iterator<Item = (OpClass, u64)> + '_ {
-        OpClass::ALL
-            .iter()
-            .map(move |&class| (class, self.count(class)))
-    }
-}
-
 /// The live micro-architectural models attached to a run.
 #[derive(Debug, Clone)]
 pub struct Uarch {
@@ -503,23 +437,6 @@ mod tests {
         c.access(0xa80); // evicts 0xa40
         assert!(c.access(0xa00), "0xa00 must survive");
         assert!(!c.access(0xa40), "0xa40 must have been evicted");
-    }
-
-    #[test]
-    fn op_mix_fractions() {
-        let mut mix = OpMix::new();
-        mix.record(Op::Add);
-        mix.record(Op::Addi);
-        mix.record(Op::Lw);
-        mix.record(Op::Beq);
-        assert_eq!(mix.total(), 4);
-        assert_eq!(mix.count(OpClass::Alu), 2);
-        assert!((mix.fraction(OpClass::Load) - 0.25).abs() < 1e-12);
-        let mut other = OpMix::new();
-        other.record(Op::Sw);
-        mix.merge(&other);
-        assert_eq!(mix.total(), 5);
-        assert_eq!(mix.count(OpClass::Store), 1);
     }
 }
 

@@ -31,7 +31,6 @@ fn assert_runs_identical(id: AppId, serial: &EngineRun, parallel: &EngineRun, th
         assert_eq!(a.return_value, b.return_value, "return, {}", context(i));
         assert_eq!(a.stats.instret, b.stats.instret, "instret, {}", context(i));
         assert_eq!(a.stats.mem, b.stats.mem, "mem counts, {}", context(i));
-        assert_eq!(a.stats.op_mix, b.stats.op_mix, "op mix, {}", context(i));
         assert_eq!(a.stats.halt, b.stats.halt, "halt reason, {}", context(i));
         assert_eq!(
             a.stats.executed,

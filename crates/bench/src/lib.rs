@@ -84,7 +84,7 @@ fn analyze(
     analyze_threaded(id, profile, packets, detail, config, 1)
 }
 
-/// Like [`analyze`], on `threads` workers (0 = available parallelism).
+/// Like `analyze`, on `threads` workers (0 = available parallelism).
 /// Aggregate statistics are identical at every thread count; the serial
 /// path streams records through one reused scratch buffer.
 pub fn analyze_threaded(

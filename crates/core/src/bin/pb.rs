@@ -5,29 +5,33 @@
 //! pb traces                        list trace profiles
 //! pb disasm --app <app>            disassemble an application
 //! pb run --app <app> [--trace <profile> | --pcap <file>] [-n <packets>]
-//!        [--verify] [--uarch] [--seed <n>] [--memo on|off|check]
-//!        [--trace-out <f>] [--timeline-out <f>] [--timeline-interval <n>]
-//!        [--watch] [--deterministic]
+//!        [--verify] [--uarch] [--seed <n>] [--threads <n>] [--progress]
+//!        [--watch] [--memo on|off|check] [--trace-out <f>]
+//!        [--timeline-out <f>] [--timeline-interval <n>] [--deterministic]
 //! pb stream <app> <source> [--threads <n>] [--chunk-size <n>]
 //!           [--max-inflight <n>] [-n <packets>] [--verify] [--uarch]
 //!           [--progress] [--watch] [--memo on|off|check]
 //!           [--trace-out <f>] [--timeline-out <f>] [--timeline-interval <n>]
+//!           [--deterministic]
 //! pb live <app> <source> [--threads <n>] [--ring <slots>] [--burst <n>]
 //!         [--rate <pps>|max] [--loops <n>] [--on-full drop|wait]
 //!         [-n <packets>] [--verify] [--uarch] [--progress] [--watch]
 //!         [--memo on|off|check] [--metrics-out <f>] [--metrics-format json|prom]
 //!         [--trace-out <f>] [--timeline-out <f>] [--timeline-interval <n>]
+//!         [--deterministic]
 //! pb profile <app> <trace> [-n <packets>] [--seed <n>] [--threads <n>]
-//!           [--memo on|off|check]
+//!           [--progress]
 //! pb report --app <app> (--metrics json|prom | --timeline json|csv)
-//!           [--trace <profile>] [-n <packets>] [--out <file>]
-//!           [--deterministic] [--memo on|off|check]
+//!           [--trace <profile>] [-n <packets>] [--seed <n>] [--threads <n>]
+//!           [--out <file>] [--deterministic] [--timeline-interval <n>]
 //! pb conform [--corpus <n>] [--seed <n>] [--threads <n>] [--repro <file.s>]
 //! pb anonymize <in.pcap> <out.pcap> [--seed <n>]
 //! ```
 //!
-//! Exit codes: 0 success, 1 runtime failure (simulation fault, I/O,
-//! conformance divergence), 2 usage error (usage goes to stderr).
+//! A subcommand takes exactly the options and flags its usage names;
+//! anything else is a usage error. Exit codes: 0 success, 1 runtime
+//! failure (simulation fault, I/O, conformance divergence), 2 usage error
+//! (usage goes to stderr).
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -107,37 +111,74 @@ impl Args {
     }
 }
 
-fn parse_args(raw: &[String]) -> Result<Args, CliError> {
+/// A subcommand: its handler, then the options (which take a value) and
+/// the flags its usage text names, space-separated. `--help` goes with
+/// every subcommand.
+type Subcommand = (
+    fn(&Args) -> Result<(), CliError>,
+    &'static str,
+    &'static str,
+);
+
+fn subcommand(name: &str) -> Option<Subcommand> {
+    const DRIVER_FLAGS: &str = "verify uarch progress watch deterministic";
+    Some(match name {
+        "apps" => (|_| cmd_apps(), "", ""),
+        "traces" => (|_| cmd_traces(), "", ""),
+        "disasm" => (cmd_disasm, "app", ""),
+        "run" => (
+            cmd_run,
+            "app trace pcap n seed threads memo trace-out timeline-out timeline-interval",
+            DRIVER_FLAGS,
+        ),
+        "stream" => (
+            cmd_stream,
+            "threads chunk-size max-inflight n memo trace-out timeline-out timeline-interval",
+            DRIVER_FLAGS,
+        ),
+        "live" => (
+            cmd_live,
+            "threads ring burst rate loops on-full n memo metrics-out metrics-format \
+             trace-out timeline-out timeline-interval",
+            DRIVER_FLAGS,
+        ),
+        "profile" => (cmd_profile, "n seed threads", "progress"),
+        "report" => (
+            cmd_report,
+            "app metrics timeline trace n seed threads out timeline-interval",
+            "deterministic",
+        ),
+        "conform" => (cmd_conform, "corpus seed threads repro", ""),
+        "anonymize" => (cmd_anonymize, "seed", ""),
+        _ => return None,
+    })
+}
+
+/// Splits `raw` into positionals, `--name value` (or `-name value`)
+/// options and flags, rejecting any name `pb <command>` does not take.
+fn parse_args(command: &str, raw: &[String], options: &str, flags: &str) -> Result<Args, CliError> {
     let mut args = Args {
         positional: Vec::new(),
         options: HashMap::new(),
         flags: Vec::new(),
     };
+    let takes = |list: &str, name: &str| list.split_whitespace().any(|n| n == name);
     let mut i = 0;
     while i < raw.len() {
         let a = &raw[i];
-        if let Some(name) = a.strip_prefix("--") {
-            // Flags that take no value.
-            if matches!(
-                name,
-                "verify" | "uarch" | "help" | "deterministic" | "progress" | "watch"
-            ) {
+        match a.strip_prefix("--").or_else(|| a.strip_prefix('-')) {
+            Some(name) if name == "help" || takes(flags, name) => {
                 args.flags.push(name.to_string());
-            } else {
+            }
+            Some(name) if takes(options, name) => {
                 let Some(value) = raw.get(i + 1) else {
-                    return usage_err(format!("--{name} needs a value"));
+                    return usage_err(format!("{a} needs a value"));
                 };
                 args.options.insert(name.to_string(), value.clone());
                 i += 1;
             }
-        } else if let Some(name) = a.strip_prefix('-') {
-            let Some(value) = raw.get(i + 1) else {
-                return usage_err(format!("-{name} needs a value"));
-            };
-            args.options.insert(name.to_string(), value.clone());
-            i += 1;
-        } else {
-            args.positional.push(a.clone());
+            Some(_) => return usage_err(format!("{command} does not take {a}")),
+            None => args.positional.push(a.clone()),
         }
         i += 1;
     }
@@ -153,24 +194,15 @@ fn run() -> Result<(), CliError> {
         println!("{}", usage_text());
         return Ok(());
     }
-    let args = parse_args(&raw[1..])?;
+    let Some((handler, options, flags)) = subcommand(&command) else {
+        return usage_err(format!("unknown command `{command}`"));
+    };
+    let args = parse_args(&command, &raw[1..], options, flags)?;
     if args.flag("help") {
         println!("{}", usage_text());
         return Ok(());
     }
-    match command.as_str() {
-        "apps" => cmd_apps(),
-        "traces" => cmd_traces(),
-        "disasm" => cmd_disasm(&args),
-        "run" => cmd_run(&args),
-        "stream" => cmd_stream(&args),
-        "live" => cmd_live(&args),
-        "profile" => cmd_profile(&args),
-        "report" => cmd_report(&args),
-        "conform" => cmd_conform(&args),
-        "anonymize" => cmd_anonymize(&args),
-        other => usage_err(format!("unknown command `{other}`")),
-    }
+    handler(&args)
 }
 
 fn usage_text() -> &'static str {
@@ -195,11 +227,10 @@ USAGE:
           [--metrics-format json|prom] [--trace-out <file>]
           [--timeline-out <file>] [--timeline-interval <n>] [--deterministic]
   pb profile <app> <trace> [-n <packets>] [--seed <n>] [--threads <n>]
-             [--progress] [--memo on|off|check]
+             [--progress]
   pb report --app <app> (--metrics json|prom | --timeline json|csv)
             [--trace <profile>] [-n <packets>] [--seed <n>] [--threads <n>]
             [--out <file>] [--deterministic] [--timeline-interval <n>]
-            [--memo on|off|check]
   pb conform [--corpus <n>] [--seed <n>] [--threads <n>] [--repro <file.s>]
   pb anonymize <in.pcap> <out.pcap> [--seed <n>]
 
@@ -793,7 +824,6 @@ fn profile_spec(args: &Args, app: AppId, trace_name: &str) -> Result<ProfileSpec
     spec.seed = args.parse_opt("seed", 42)?;
     spec.threads = args.parse_opt("threads", 1)?;
     spec.progress = args.flag("progress");
-    spec.memo = memo_from(args)?;
     Ok(spec)
 }
 

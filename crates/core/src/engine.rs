@@ -36,7 +36,7 @@ use nettrace::Packet;
 use npobs::export::WorkerStat;
 use npobs::timeline::{SpanLog, Stage, Timeline, TimelineSpec, WallSampler};
 use npobs::StatusLine;
-use npsim::{NullObserver, Observer};
+use npsim::{Coverage, NullObserver, Observer};
 
 use crate::apps::AppId;
 use crate::config::WorkloadConfig;
@@ -181,7 +181,7 @@ impl Engine {
         threads: usize,
     ) -> Result<EngineRun, BenchError> {
         // The unobserved run *is* the observed run with the no-op
-        // observer: monomorphization folds every hook away (DESIGN.md).
+        // observer, which the lanes wrap in `Coverage` (DESIGN.md).
         self.run_observed(packets, detail, threads, || NullObserver)
             .map(|(run, _)| run)
     }
@@ -219,8 +219,8 @@ impl Engine {
     }
 
     /// The batch driver: shard `packets` over `threads` lanes (one runs
-    /// inline on the calling thread), keep every record and emitted
-    /// packet, and merge them back into trace order.
+    /// inline on the calling thread), keep every record (with its
+    /// coverage) and emitted packet, and merge them back into trace order.
     pub(crate) fn batch<O, F>(
         &self,
         packets: &[Packet],
@@ -241,7 +241,7 @@ impl Engine {
             .collect();
         let worker = |w: usize| {
             let shard: Vec<usize> = (0..packets.len()).filter(|&i| assignment[i] == w).collect();
-            let mut lane = Lane::new(self, w, detail, start, monitor, make_obs());
+            let mut lane = Lane::new(self, w, detail, start, monitor, Coverage::new(make_obs()));
             let mut kept = Vec::with_capacity(shard.len());
             let began = lane.begin();
             for (k, &i) in shard.iter().enumerate() {
@@ -286,7 +286,7 @@ impl Engine {
             kept.push(records.into_iter());
             workers.push(metrics);
             lanes.extend(lane);
-            observers.push(obs);
+            observers.push(obs.into_inner());
         }
         let merge_start = Instant::now();
         let mut records = Vec::with_capacity(packets.len());

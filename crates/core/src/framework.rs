@@ -16,8 +16,8 @@ use npsim::bblock::{BlockMap, BlockTable};
 use npsim::cpu::HaltReason;
 use npsim::util::BitSet;
 use npsim::{
-    reg, Cpu, Interpreter, MemCounts, MemoCache, MemoCounters, MemoKey, Memory, MemoryMap,
-    NullObserver, RunConfig, RunStats, SimError, SysHandler, SysOutcome,
+    reg, Coverage, Cpu, Interpreter, MemCounts, MemoCache, MemoCounters, MemoKey, Memory,
+    MemoryMap, NullObserver, RunConfig, RunStats, SimError, SysHandler, SysOutcome,
 };
 
 use crate::apps::App;
@@ -255,8 +255,8 @@ struct MemoLayer {
 /// Everything recorded about one packet's processing.
 #[derive(Debug, Clone)]
 pub struct PacketRecord {
-    /// Raw simulator statistics (instruction counts, executed set,
-    /// region-classified memory accesses, optional traces).
+    /// Raw simulator statistics (instruction counts, region-classified
+    /// memory accesses, and the executed set and traces when recorded).
     pub stats: RunStats,
     /// The application's verdict.
     pub verdict: Verdict,
@@ -378,8 +378,9 @@ impl PacketBench {
     /// Enables (or disables) per-flow memoization of the counts-only path.
     ///
     /// A mode other than [`MemoMode::Off`] only takes effect when the
-    /// application both declares a memo key ([`AppId::memo_key_len`]) and
-    /// passes the static write-region guard: `npsim::analyze_writes` must
+    /// application both declares a memo key
+    /// ([`crate::AppId::memo_key_len`]) and passes the static
+    /// write-region guard: `npsim::analyze_writes` must
     /// prove every store targets the packet buffer, the stack, or the
     /// `.data` scratch below [`App::struct_base`], and the program must
     /// not call the side-effectful `write_packet_to_file`. Applications
@@ -583,7 +584,8 @@ impl PacketBench {
         self.block_table.set_trace_params(params);
     }
 
-    /// Runs one packet through the application.
+    /// Runs one packet through the application, recording its coverage
+    /// as every call here that returns a record does.
     ///
     /// # Errors
     ///
@@ -611,7 +613,8 @@ impl PacketBench {
         detail: Detail,
         record: &mut PacketRecord,
     ) -> Result<(), BenchError> {
-        self.process_with(None, packet, detail, record, &mut NullObserver)
+        let mut coverage = Coverage::new(NullObserver);
+        self.process_with(None, packet, detail, record, &mut coverage)
     }
 
     /// Runs one packet as if it were the 0-based `index`-th packet of a
@@ -630,7 +633,8 @@ impl PacketBench {
         detail: Detail,
         record: &mut PacketRecord,
     ) -> Result<(), BenchError> {
-        self.process_with(Some(index), packet, detail, record, &mut NullObserver)
+        let mut coverage = Coverage::new(NullObserver);
+        self.process_with(Some(index), packet, detail, record, &mut coverage)
     }
 
     /// The one per-packet path: replay a memo hit, or stage the packet,

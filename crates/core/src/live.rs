@@ -38,7 +38,7 @@
 //!
 //! When `dropped == 0` (always under [`OnFull::Wait`]), the aggregate
 //! report equals the batch engine's for the same source, at any thread
-//! count: packets are sharded by the same rule ([`Engine::shard_of`] on
+//! count: packets are sharded by the same rule (`Engine::shard_of` on
 //! the global trace position), processed with the same global-index
 //! clock ([`crate::PacketBench::process_packet_at`]), delivered in order
 //! within each lane (SPSC FIFO), and folded with exact integer sums
@@ -58,7 +58,7 @@ use nettrace::{Limited, PacketSource};
 use npobs::timeline::{Sample, Stage, Timeline};
 use npobs::{Log2Histogram, PacketHists};
 use npring::{lane, LaneConsumer, Pacer, RateSpec, RingStats, MAX_BURST};
-use npsim::NullObserver;
+use npsim::{Coverage, NullObserver, Observer};
 use npstream::SourceSpec;
 
 use crate::analysis::StreamAggregate;
@@ -387,6 +387,12 @@ impl Engine {
                 })
             };
 
+            // The blocks-per-packet histogram is the one reader of coverage.
+            let live_worker = if config.metrics {
+                Engine::live_worker::<Coverage>
+            } else {
+                Engine::live_worker::<NullObserver>
+            };
             let handles: Vec<_> = consumers
                 .into_iter()
                 .enumerate()
@@ -394,7 +400,8 @@ impl Engine {
                     let cancelled = &cancelled;
                     let failure = &failure;
                     scope.spawn(move || {
-                        self.live_worker(
+                        live_worker(
+                            self,
                             w,
                             consumer,
                             burst,
@@ -472,7 +479,7 @@ impl Engine {
     /// and retiring *without* simulating, so the producer never wedges on
     /// a full pool and the retire accounting stays exact.
     #[allow(clippy::too_many_arguments)]
-    fn live_worker(
+    fn live_worker<O: Observer + Default>(
         &self,
         worker: usize,
         mut consumer: LaneConsumer,
@@ -484,7 +491,7 @@ impl Engine {
         monitor: Option<&MonitorCounters>,
         start: Instant,
     ) -> (WorkerMetrics, Option<LaneTelemetry>, LaneFold) {
-        let mut lane = Lane::new(self, worker, detail, start, monitor, NullObserver);
+        let mut lane = Lane::new(self, worker, detail, start, monitor, O::default());
         let mut fold = LaneFold {
             aggregate: StreamAggregate::new(),
             hists: PacketHists::new(),
@@ -571,6 +578,7 @@ mod tests {
     use super::*;
     use crate::apps::AppId;
     use crate::framework::MemoMode;
+    use crate::profile::{profile_packets, ProfileSpec};
     use nettrace::synth::{SyntheticTrace, TraceProfile};
     use nettrace::Packet;
 
@@ -730,22 +738,30 @@ mod tests {
 
     #[test]
     fn metrics_mode_fills_the_histograms() {
+        // The one live path that records coverage: its blocks-per-packet
+        // histogram must equal the profiler's over the same packets.
         let spec = SourceSpec::parse("synth:mra:seed=13:packets=80").unwrap();
-        let run = Engine::new(AppId::Ipv4Trie)
-            .run_live(
-                &spec,
-                Detail::counts(),
-                LiveConfig {
-                    metrics: true,
-                    ..wait_config(2)
-                },
-            )
-            .unwrap();
-        assert_eq!(run.hists.packets(), 80);
-        let plain = Engine::new(AppId::Ipv4Trie)
-            .run_live(&spec, Detail::counts(), wait_config(2))
-            .unwrap();
-        assert_eq!(plain.hists.packets(), 0, "hists are off by default");
-        assert_eq!(plain.aggregate, run.aggregate);
+        let packets = SyntheticTrace::new(TraceProfile::mra(), 13).take_packets(80);
+        let profile = ProfileSpec::new(AppId::Ipv4Trie, TraceProfile::mra());
+        let want = profile_packets(&profile, &packets).unwrap().hists;
+        for threads in [1, 3] {
+            let run = Engine::new(AppId::Ipv4Trie)
+                .run_live(
+                    &spec,
+                    Detail::counts(),
+                    LiveConfig {
+                        metrics: true,
+                        ..wait_config(threads)
+                    },
+                )
+                .unwrap();
+            assert_eq!(run.hists.packets(), 80);
+            assert_eq!(run.hists, want, "{threads} threads");
+            let plain = Engine::new(AppId::Ipv4Trie)
+                .run_live(&spec, Detail::counts(), wait_config(threads))
+                .unwrap();
+            assert_eq!(plain.hists.packets(), 0, "hists are off by default");
+            assert_eq!(plain.aggregate, run.aggregate);
+        }
     }
 }

@@ -27,7 +27,7 @@ use crate::apps::{App, AppId};
 use crate::config::WorkloadConfig;
 use crate::engine::{Engine, EngineRun};
 use crate::error::BenchError;
-use crate::framework::{Detail, MemoMode};
+use crate::framework::Detail;
 use crate::report;
 
 /// What to profile.
@@ -47,8 +47,6 @@ pub struct ProfileSpec {
     pub config: WorkloadConfig,
     /// Emit the engine's periodic progress line on stderr.
     pub progress: bool,
-    /// Flow-memoization mode for the run's workers.
-    pub memo: MemoMode,
     /// In-flight telemetry: sample the run into a timeline (and span
     /// log), surfaced on [`ProfileResult`]'s engine run. `None` costs
     /// nothing.
@@ -66,7 +64,6 @@ impl ProfileSpec {
             threads: 1,
             config: WorkloadConfig::default(),
             progress: false,
-            memo: MemoMode::Off,
             timeline: None,
         }
     }
@@ -116,7 +113,6 @@ pub fn profile_packets(
 
     let engine = Engine::with_config(spec.app, spec.config)
         .progress(spec.progress)
-        .memo(spec.memo)
         .timeline(spec.timeline);
     let (run, observers) = engine.run_observed(packets, Detail::counts(), spec.threads, || {
         HeatObserver::new(&block_map)
@@ -220,8 +216,7 @@ impl ProfileResult {
                 .iter()
                 .map(|w| {
                     // Every counter is a pure function of the trace and
-                    // sharding (bail-outs only when memoization is off,
-                    // since hits skip simulation); only timings vary.
+                    // sharding; only timings vary.
                     let mut stat = WorkerStat::from(w);
                     if deterministic {
                         stat.busy_ns = 0;

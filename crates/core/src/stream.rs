@@ -34,7 +34,7 @@
 //!
 //! * A **reader** thread pulls packets from the source, assigns each its
 //!   global trace index, and shards it with the exact rule batch runs use
-//!   ([`Engine::shard_of`]). Per-shard buffers flush as fixed-size
+//!   (`Engine::shard_of`). Per-shard buffers flush as fixed-size
 //!   [`Chunk`]s; before dispatching a chunk the reader acquires one
 //!   permit from a [`Semaphore`] sized `max_inflight`, then pushes the
 //!   chunk to the owning worker's input queue and the worker's id to a

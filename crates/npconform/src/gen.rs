@@ -173,7 +173,7 @@ pub fn arb_inst<R: Rng>(rng: &mut R, op: Op, index: usize, len: usize) -> Inst {
 
 /// Generates one random NP32 program against `map`.
 ///
-/// Layout: the boundary-probing [`prologue`], then a shuffled body
+/// Layout: the boundary-probing `prologue`, then a shuffled body
 /// containing **every** opcode once plus `0..=24` random extras, then a
 /// final `jr ra` so straight-line fall-through returns to the framework.
 pub fn gen_program<R: Rng>(rng: &mut R, map: &MemoryMap) -> Vec<Inst> {

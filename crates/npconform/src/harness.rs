@@ -15,7 +15,7 @@
 //!
 //! and any divergence from the reference — result, statistics, registers,
 //! memory digest, traces — fails the item. Failing programs are shrunk
-//! ([`crate::shrink`]) and rendered as assemblable `.s` repros.
+//! ([`crate::shrink()`]) and rendered as assemblable `.s` repros.
 //!
 //! The multi-threaded engine leg of conformance lives in
 //! `packetbench::conform`, which replays the real applications; this

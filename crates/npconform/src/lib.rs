@@ -11,8 +11,8 @@
 //!   covering every opcode and memory-region boundary, plus boundary-case
 //!   packets;
 //! * [`diff`] — bit-exact outcome comparison with *named* divergences;
-//! * [`shrink`] — automatic reduction of failing programs to minimal
-//!   repros that still disassemble and reassemble;
+//! * [`shrink`](mod@shrink) — automatic reduction of failing programs to
+//!   minimal repros that still disassemble and reassemble;
 //! * [`harness`] — the corpus driver behind `pb conform` and the CI
 //!   `conform` job.
 //!

@@ -12,10 +12,10 @@
 //! * [`ring`] — a wait-free single-producer/single-consumer ring of slot
 //!   indices with cache-line-padded head/tail, power-of-two capacity,
 //!   and Acquire/Release publication.
-//! * [`pool`] — a [`Lane`](pool::Lane): one preallocated packet pool
+//! * [`pool`] — a [`Lane`]: one preallocated packet pool
 //!   plus an in-ring (producer → worker) and a free-ring (worker →
 //!   producer) whose tokens are pool slot indices. Workers borrow
-//!   zero-copy [`PacketView`](pool::PacketView)s from pool slots and
+//!   zero-copy [`PacketView`]s from pool slots and
 //!   recycle them on retire; overload is a counted drop.
 //! * [`pacer`] — paced replay ([`RateSpec`]: a packets/sec target or
 //!   `max`) for driving a lane from a trace at a chosen offered load.

@@ -9,7 +9,7 @@
 //!   a *cached* copy of the other's counter and only re-reads the shared
 //!   atomic when the cached value says the ring looks full/empty —
 //!   the common-case push/pop touches one shared cache line, not two;
-//! * `head` and `tail` live on separate cache lines ([`CachePadded`]) so
+//! * `head` and `tail` live on separate cache lines (`CachePadded`) so
 //!   the two sides never false-share;
 //! * publication is Acquire/Release: the producer's slot write
 //!   happens-before the consumer's read because the tail store is

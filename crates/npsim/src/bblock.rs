@@ -422,9 +422,9 @@ pub(crate) struct BlockEntry {
 ///
 /// Built once per program (PacketBench builds it next to the `BlockMap` it
 /// already keeps) and shared immutably by the counts-only block engine;
-/// the only mutable pieces are per-block inline caches ([`Cell`]) and a
-/// reusable executed-blocks scratch set ([`RefCell`]), which keep the
-/// table `Send` (one table per worker thread) though not `Sync`.
+/// the only mutable pieces are per-block inline caches ([`Cell`]) and the
+/// hot-trace layer ([`RefCell`]), which keep the table `Send` (one table
+/// per worker thread) though not `Sync`.
 #[derive(Debug, Clone)]
 pub struct BlockTable {
     map: BlockMap,
@@ -435,12 +435,9 @@ pub struct BlockTable {
     /// `uop_start`/`uop_len`), so block interiors execute out of one
     /// contiguous allocation.
     uops: Vec<UOp>,
-    /// Scratch per-block seen set, reused across runs so the block engine
-    /// stays zero-allocation per packet.
-    seen: RefCell<BitSet>,
-    /// The hot-trace layer: warm-up counters, formed traces, per-run
-    /// trace retires, telemetry. Lives on the table (not the `Cpu`) so it
-    /// persists across per-packet CPU reconstruction and across runs.
+    /// The hot-trace layer: warm-up counters, formed traces, telemetry.
+    /// Lives on the table (not the `Cpu`) so it persists across
+    /// per-packet CPU reconstruction and across runs.
     trace: RefCell<TraceState>,
 }
 
@@ -458,14 +455,12 @@ impl BlockTable {
         let entries = (0..map.num_blocks())
             .map(|b| Self::decode_block(program, &map, b, &mut uops))
             .collect();
-        let seen = RefCell::new(BitSet::new(map.num_blocks()));
         let trace = RefCell::new(TraceState::new(map.num_blocks(), TraceParams::default()));
         BlockTable {
             map,
             is_leader,
             entries,
             uops,
-            seen,
             trace,
         }
     }
@@ -1068,18 +1063,6 @@ impl BlockTable {
     #[inline(always)]
     pub(crate) fn is_leader(&self, index: usize) -> bool {
         self.is_leader[index]
-    }
-
-    /// Borrows the cleared per-run seen-blocks scratch set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous borrow is still live (the block engine is not
-    /// reentrant over one table).
-    pub(crate) fn seen_scratch(&self) -> RefMut<'_, BitSet> {
-        let mut seen = self.seen.borrow_mut();
-        seen.clear();
-        seen
     }
 
     /// The predecoded entry for block `b`.

@@ -4,15 +4,15 @@
 //! returns to the framework (jumping to [`crate::RETURN_SENTINEL`]), executes
 //! `halt`, or a [`SysHandler`] stops the run. Every run produces a
 //! [`RunStats`] carrying the paper's per-packet raw material: instruction
-//! counts, the executed-instruction bit set, region-classified memory access
-//! counts, and (optionally) full PC and memory traces plus
+//! counts, region-classified memory access counts, and (optionally) the
+//! executed-instruction bit set, full PC and memory traces, and
 //! micro-architectural model results.
 
 use crate::bblock::{BlockTable, TermKind, UOp, UOpKind};
 use crate::error::SimError;
 use crate::isa::{Inst, Op, Reg};
 use crate::mem::{AccessKind, MemEvent, Memory, MemoryMap, Region};
-use crate::obs::{NullObserver, Observer};
+use crate::obs::{Coverage, NullObserver, Observer};
 use crate::trace::{Guard, TraceEntry};
 use crate::uarch::{Uarch, UarchConfig};
 use crate::util::BitSet;
@@ -280,8 +280,9 @@ impl UarchStats {
 pub struct RunStats {
     /// Instructions executed.
     pub instret: u64,
-    /// Which static instructions executed at least once
-    /// (index = instruction index in the program).
+    /// Which static instructions executed at least once (index =
+    /// instruction index in the program). Filled when the run's observer
+    /// records coverage ([`Observer::coverage`]), and empty otherwise.
     pub executed: BitSet,
     /// Region-classified data-memory access counts.
     pub mem: MemCounts,
@@ -297,7 +298,7 @@ pub struct RunStats {
 
 impl RunStats {
     /// The number of *unique* static instructions executed
-    /// (paper Table VI / Fig. 6 y-axis).
+    /// (paper Table VI / Fig. 6 y-axis); 0 unless coverage was recorded.
     pub fn unique_instructions(&self) -> usize {
         self.executed.count()
     }
@@ -515,7 +516,8 @@ impl<'p> Cpu<'p> {
         }
     }
 
-    /// Runs until the program returns, halts, or errors, rejecting `sys`.
+    /// Runs until the program returns, halts, or errors, rejecting `sys`,
+    /// recording coverage as every entry point without an observer does.
     ///
     /// # Errors
     ///
@@ -584,16 +586,18 @@ impl<'p> Cpu<'p> {
         stats: &mut RunStats,
         path: ExecPath,
     ) -> Result<(), SimError> {
-        self.run_into_path_observed(mem, config, handler, stats, path, &mut NullObserver)
+        let mut coverage = Coverage::new(NullObserver);
+        self.run_into_path_observed(mem, config, handler, stats, path, &mut coverage)
     }
 
     /// Like [`Cpu::run_into`], but streams every retired instruction and
-    /// classified memory access into an [`Observer`].
+    /// classified memory access into an [`Observer`], and records coverage
+    /// only when the observer does.
     ///
     /// The observer is a monomorphized type parameter, never a trait
-    /// object: instantiated with [`NullObserver`] this is exactly
-    /// [`Cpu::run_into`], at zero cost. The `npobs` crate's basic-block
-    /// heat profiler attaches here.
+    /// object: instantiated with [`NullObserver`] every hook costs
+    /// nothing. The `npobs` crate's basic-block heat profiler attaches
+    /// here.
     ///
     /// # Errors
     ///
@@ -625,6 +629,9 @@ impl<'p> Cpu<'p> {
         obs: &mut O,
     ) -> Result<(), SimError> {
         stats.reset_for(self.program.len());
+        if let Some(set) = obs.coverage() {
+            std::mem::swap(set, &mut stats.executed);
+        }
         obs.on_run_start();
         let counts_only = match path {
             // Two monomorphic loops: the lean one drops every
@@ -659,26 +666,30 @@ impl<'p> Cpu<'p> {
         } else {
             config.uarch.as_ref().map(Uarch::new)
         };
-        if use_blocks {
-            if let Some(table) = self.blocks {
-                if use_traces {
-                    self.exec_blocks::<true, O>(mem, config, handler, stats, table, obs)?;
-                } else {
-                    self.exec_blocks::<false, O>(mem, config, handler, stats, table, obs)?;
+        let result = if use_blocks {
+            let built;
+            let table = match self.blocks {
+                Some(table) => table,
+                None => {
+                    built = BlockTable::build(self.program);
+                    &built
                 }
+            };
+            if use_traces {
+                self.exec_blocks::<true, O>(mem, config, handler, stats, table, obs)
             } else {
-                let table = BlockTable::build(self.program);
-                if use_traces {
-                    self.exec_blocks::<true, O>(mem, config, handler, stats, &table, obs)?;
-                } else {
-                    self.exec_blocks::<false, O>(mem, config, handler, stats, &table, obs)?;
-                }
+                self.exec_blocks::<false, O>(mem, config, handler, stats, table, obs)
             }
         } else if counts_only {
-            self.exec::<false, O>(mem, config, handler, stats, &mut uarch, obs)?;
+            self.exec::<false, O>(mem, config, handler, stats, &mut uarch, obs)
         } else {
-            self.exec::<true, O>(mem, config, handler, stats, &mut uarch, obs)?;
+            self.exec::<true, O>(mem, config, handler, stats, &mut uarch, obs)
+        };
+        // Hand the recorded set back, on faults too.
+        if let Some(set) = obs.coverage() {
+            std::mem::swap(set, &mut stats.executed);
         }
+        result?;
 
         if let Some(u) = uarch {
             stats.uarch = Some(UarchStats {
@@ -746,7 +757,6 @@ impl<'p> Cpu<'p> {
             }
             let inst = insts[index];
             stats.instret += 1;
-            stats.executed.insert(index);
             obs.on_inst(self.pc, index, &inst);
             if FULL {
                 if config.record_pc_trace {
@@ -927,17 +937,18 @@ impl<'p> Cpu<'p> {
     /// The superblock engine: counts-only execution retired one basic
     /// block at a time against a predecoded [`BlockTable`].
     ///
-    /// Per fully-retired block this applies one fused delta (instruction
-    /// count, unique-coverage bit) and, when the runtime
-    /// region gate passes, the block's statically-grouped memory-access
-    /// counts — then follows a pre-resolved successor link, so the hot
-    /// loop does no per-instruction PC translation, dispatch bookkeeping,
-    /// or accounting. Entry points that are not block leaders and runs
-    /// close enough to the instruction budget that the next block might
-    /// not complete bail out to the per-instruction counts loop, which is
-    /// the reference semantics — so every observable outcome (stats,
-    /// registers, PC, memory, errors) is bit-identical to
-    /// `exec::<false, _>`. See DESIGN.md ("Superblock engine").
+    /// Per fully-retired block this adds the block's instruction count,
+    /// reports the block through [`Observer::on_block`] and, when the
+    /// runtime region gate passes, adds the block's statically-grouped
+    /// memory-access counts — then follows a pre-resolved successor
+    /// link, so the hot loop does no per-instruction PC translation,
+    /// dispatch bookkeeping, or accounting. Entry points that are not
+    /// block leaders and runs close enough to the instruction budget that
+    /// the next block might not complete bail out to the per-instruction
+    /// counts loop, which is the reference semantics — so every
+    /// observable outcome (stats, registers, PC, memory, errors) is
+    /// bit-identical to `exec::<false, _>`. See DESIGN.md ("Superblock
+    /// engine").
     ///
     /// With `TRACES` compiled in, the table's hot-trace layer sits on
     /// top: warm-up runs count per-block heat and branch directions,
@@ -945,9 +956,9 @@ impl<'p> Cpu<'p> {
     /// and retire whole biased chains with one fused delta per trip. A
     /// trip that might cross the instruction budget is declined up front
     /// (the block path places the budget error exactly); a mispredicted
-    /// guard retires the executed prefix at block granularity and falls
-    /// off to this block-level loop — so `TRACES = true` is observably
-    /// identical to `TRACES = false`. See DESIGN.md ("Trace fusion").
+    /// guard retires the prefix it ran and falls off to this block-level
+    /// loop — so `TRACES = true` is observably identical to
+    /// `TRACES = false`. See DESIGN.md ("Trace fusion").
     fn exec_blocks<const TRACES: bool, O: Observer>(
         &mut self,
         mem: &mut Memory,
@@ -972,12 +983,6 @@ impl<'p> Cpu<'p> {
             "block table built from a different program"
         );
 
-        // Blocks retired whole this run; expanded into per-instruction
-        // `executed` bits on every exit. Kept separate from
-        // `stats.executed` because the per-instruction fallback may set a
-        // leader's bit and then fault mid-block — expanding leader bits
-        // would over-mark.
-        let mut seen = table.seen_scratch();
         let mut tstate = table.trace_scratch();
         if TRACES {
             tstate.tick(table, text_base);
@@ -987,9 +992,6 @@ impl<'p> Cpu<'p> {
         let crate::trace::TraceState {
             traces,
             trace_of,
-            retires: trace_retires,
-            exit_retires,
-            exited,
             stats: tstats,
             heat,
             taken,
@@ -1042,15 +1044,7 @@ impl<'p> Cpu<'p> {
                             tstats.declines += 1;
                         } else {
                             tstats.hits += 1;
-                            match self.exec_trace(
-                                tr,
-                                mem,
-                                stats,
-                                &mut exit_retires[t as usize],
-                                &mut exited[t as usize],
-                                &mut trace_retires[t as usize],
-                                &mut tstats.guard_exits,
-                            ) {
+                            match self.exec_trace(tr, mem, stats, &mut tstats.guard_exits, obs) {
                                 TraceExit::Block(nb) => {
                                     b = nb;
                                     continue 'chain;
@@ -1069,12 +1063,11 @@ impl<'p> Cpu<'p> {
                     break 'run;
                 }
 
-                // Fused retire: the whole block's instruction count and
-                // coverage in one shot, before the terminator runs —
-                // matching the per-instruction order where accounting
-                // precedes the `sys`/`halt` dispatch.
+                // Fused retire: the whole block's instruction count in one
+                // shot, before the terminator runs — matching the
+                // per-instruction order where accounting precedes the
+                // `sys`/`halt` dispatch.
                 stats.instret += len;
-                seen.insert(b);
                 if train {
                     heat[b] += 1;
                 }
@@ -1269,55 +1262,6 @@ impl<'p> Cpu<'p> {
             }
         }
 
-        // Guard-exited trace prefixes were deferred to O(1) per-exit-point
-        // counters during the run; fold each touched exit point as
-        // coverage over the prefix's distinct blocks — never a per-block
-        // retire walk. `exited` keeps the fold from scanning untouched
-        // traces.
-        if TRACES {
-            for (t, tr) in traces.iter().enumerate() {
-                if std::mem::take(&mut exited[t]) == 0 {
-                    continue;
-                }
-                for (i, times) in exit_retires[t].iter_mut().enumerate() {
-                    if std::mem::take(times) == 0 {
-                        continue;
-                    }
-                    let hi = tr.segs[i].distinct_hi as usize;
-                    for &blk in &tr.blocks[..hi] {
-                        for idx in table.block_map().block_range(blk as usize) {
-                            stats.executed.insert(idx);
-                        }
-                    }
-                }
-            }
-        }
-        // Expand fully-retired blocks into per-instruction coverage bits
-        // — on every exit, including faults, so partial runs compare
-        // equal to the per-instruction loop.
-        for b in seen.iter() {
-            for i in table.block_map().block_range(b) {
-                stats.executed.insert(i);
-            }
-        }
-        // Fold complete trace trips the same way: member-block coverage
-        // expansion (instret was already added per trip). Traces are
-        // few, so iterating them all is cheaper than tracking a seen set.
-        if TRACES {
-            for (t, tr) in traces.iter().enumerate() {
-                if std::mem::take(&mut trace_retires[t]) == 0 {
-                    continue;
-                }
-                for &blk in &tr.blocks {
-                    for i in table.block_map().block_range(blk as usize) {
-                        stats.executed.insert(i);
-                    }
-                }
-            }
-        }
-        drop(seen);
-        drop(tstate);
-
         if bail {
             // Reference semantics finish the run: exact per-access
             // classification, per-instruction budget check and observer
@@ -1335,27 +1279,24 @@ impl<'p> Cpu<'p> {
     /// per-block retire bookkeeping and terminator dispatch are replaced
     /// by the member's guard. Nothing inside a trip can fault or observe
     /// statistics (micro-ops never fault, `sys` is never trace-internal,
-    /// the budget was pre-checked), so deferring the whole trip's
-    /// instret/coverage to one fused delta at completion is
-    /// unobservable. A mispredicted guard exits with the architectural
-    /// state the block path would have had at the same point; its prefix
-    /// retire is itself deferred — one bump of the member's exit counter
-    /// here, folded as a precomputed prefix delta at run end — so
-    /// falling off a trace costs O(1), not O(prefix).
-    #[allow(clippy::too_many_arguments)]
-    fn exec_trace(
+    /// the budget was pre-checked), so retiring the whole trip as one
+    /// instret delta at its end is unobservable; its distinct member
+    /// blocks go to [`Observer::on_block`] once each. A mispredicted
+    /// guard exits with the architectural state the block path would
+    /// have had at the same point and retires the precomputed prefix the
+    /// same way. Kept out of line: inlined, it ran ipsec slower.
+    #[inline(never)]
+    fn exec_trace<O: Observer>(
         &mut self,
         tr: &TraceEntry,
         mem: &mut Memory,
         stats: &mut RunStats,
-        exit_retires: &mut [u64],
-        exited: &mut u64,
-        trace_retire: &mut u64,
         guard_exits: &mut u64,
+        obs: &mut O,
     ) -> TraceExit {
         let mut uop_start = 0usize;
         let mut group_start = 0usize;
-        for (i, seg) in tr.segs.iter().enumerate() {
+        for seg in &tr.segs {
             // Same runtime region gate as the block path: fuse the
             // member's grouped access counts only when every group
             // provably stays inside one interval region.
@@ -1409,13 +1350,14 @@ impl<'p> Cpu<'p> {
                         _ => a >= b,
                     };
                     if t != expect {
-                        // Mispredict: fall off the trace. The prefix's
-                        // coverage is deferred to the run-end fold, which
-                        // expands this exit point's distinct blocks once.
+                        // Mispredict: fall off the trace, retiring the
+                        // prefix's instructions and distinct blocks.
                         *guard_exits += 1;
-                        *exited += 1;
-                        exit_retires[i] += 1;
                         stats.instret += seg.prefix_len;
+                        let prefix = tr.blocks.iter().take(seg.distinct_hi as usize);
+                        for &(block, first, len) in prefix {
+                            obs.on_block(block as usize, first as usize, len as usize);
+                        }
                         self.pc = exit_pc;
                         return if exit_block == u32::MAX {
                             TraceExit::Cold
@@ -1427,10 +1369,11 @@ impl<'p> Cpu<'p> {
             }
         }
 
-        // Complete trip: one fused delta (coverage folds at run end
-        // through the per-trace retire count).
+        // Complete trip: one fused delta.
         stats.instret += tr.total_len;
-        *trace_retire += 1;
+        for &(block, first, len) in &tr.blocks {
+            obs.on_block(block as usize, first as usize, len as usize);
+        }
         self.pc = tr.next_pc;
         TraceExit::Block(tr.next_block as usize)
     }

@@ -8,7 +8,7 @@
 //! workload analysis needs:
 //!
 //! * total instruction counts,
-//! * the set of *unique* instruction addresses executed,
+//! * the set of *unique* instruction addresses executed ([`Coverage`]),
 //! * every data-memory access, classified into **packet memory** and
 //!   **non-packet memory** by address region (the paper's key distinction),
 //! * optional full program-counter and memory-access traces for the
@@ -81,7 +81,7 @@ pub use error::SimError;
 pub use isa::{reg, Inst, Op, Reg};
 pub use mem::{AccessKind, MemEvent, Memory, MemoryMap, Region};
 pub use memo::{analyze_writes, MemoCache, MemoCounters, MemoKey, WriteAnalysis};
-pub use obs::{NullObserver, Observer};
+pub use obs::{Coverage, NullObserver, Observer};
 pub use trace::{TraceParams, TraceStats};
 
 /// Address the simulator treats as "return to framework".

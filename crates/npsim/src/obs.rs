@@ -4,8 +4,8 @@
 //! from the interpreter loops. The hooks are monomorphized: the loops are
 //! generic over `O: Observer`, so the [`NullObserver`]'s empty inline
 //! methods vanish entirely and the unobserved loops compile to exactly the
-//! code they had before the hooks existed. Instrumentation (the `npobs`
-//! crate's histograms and basic-block heat maps) pays only when attached.
+//! code they had before the hooks existed. Instrumentation (coverage, the
+//! `npobs` crate's basic-block heat maps) pays only when attached.
 //!
 //! Design rule: `Observer` must never be used behind `dyn`. A virtual call
 //! per retired instruction would put an indirect branch in the hottest loop
@@ -13,6 +13,7 @@
 
 use crate::isa::Inst;
 use crate::mem::{AccessKind, Region};
+use crate::util::BitSet;
 
 /// Callbacks from the interpreter loops. Every method has an empty default
 /// body so an observer implements only what it needs; every call site is
@@ -35,11 +36,11 @@ pub trait Observer {
     const BLOCK_LEVEL: bool = false;
 
     /// Whether the observer additionally tolerates *trace*-granular
-    /// retires: inside a complete trip through a fused hot trace the
-    /// engine fires no callbacks at all — not even
-    /// [`Observer::on_block`] — and folds the whole trip's accounting
-    /// into one delta. Only meaningful when [`Observer::BLOCK_LEVEL`] is
-    /// also `true`.
+    /// retires: a trip through a fused hot trace folds its accounting
+    /// into one delta and reports each distinct member block it ran once
+    /// through [`Observer::on_block`], however often it retired it. The
+    /// set of executed blocks stays exact; their counts and order do not.
+    /// Only meaningful when [`Observer::BLOCK_LEVEL`] is also `true`.
     ///
     /// Defaults to `false`, so block-granular observers (the `npobs`
     /// heat profiler) keep seeing every block retire and profiles stay
@@ -47,6 +48,14 @@ pub trait Observer {
     /// routes unobserved counts-only production runs through the trace
     /// engine under `ExecPath::Auto`.
     const TRACE_LEVEL: bool = false;
+
+    /// The set this observer records coverage into, if any. The
+    /// interpreter swaps it with the run's cleared
+    /// [`RunStats::executed`](crate::RunStats::executed) for the run.
+    #[inline(always)]
+    fn coverage(&mut self) -> Option<&mut BitSet> {
+        None
+    }
 
     /// A run (one packet, in PacketBench terms) is about to start.
     /// Per-run observer state (like the current basic block) resets here.
@@ -69,7 +78,8 @@ pub trait Observer {
     /// One whole basic block retired by the superblock engine: block id
     /// `block`, spanning `len` instructions starting at static instruction
     /// index `first`. Only fires when [`Observer::BLOCK_LEVEL`] is `true`
-    /// and the block engine is active; equivalent per-instruction activity
+    /// and the block engine is active (trace trips report members as
+    /// [`Observer::TRACE_LEVEL`] says); equivalent per-instruction activity
     /// is reported through [`Observer::on_inst`] otherwise.
     #[inline(always)]
     fn on_block(&mut self, block: usize, first: usize, len: usize) {
@@ -86,6 +96,58 @@ pub struct NullObserver;
 impl Observer for NullObserver {
     const BLOCK_LEVEL: bool = true;
     const TRACE_LEVEL: bool = true;
+}
+
+/// Records coverage, the static instructions a run executed, and forwards
+/// every hook to `O`, keeping its block and trace levels.
+#[derive(Debug, Clone, Default)]
+pub struct Coverage<O = NullObserver> {
+    executed: BitSet,
+    inner: O,
+}
+
+impl<O> Coverage<O> {
+    /// Wraps `inner`.
+    pub fn new(inner: O) -> Coverage<O> {
+        Coverage {
+            executed: BitSet::default(),
+            inner,
+        }
+    }
+
+    /// The wrapped observer.
+    pub fn into_inner(self) -> O {
+        self.inner
+    }
+}
+
+impl<O: Observer> Observer for Coverage<O> {
+    const BLOCK_LEVEL: bool = O::BLOCK_LEVEL;
+    const TRACE_LEVEL: bool = O::TRACE_LEVEL;
+
+    fn coverage(&mut self) -> Option<&mut BitSet> {
+        Some(&mut self.executed)
+    }
+
+    fn on_run_start(&mut self) {
+        self.inner.on_run_start();
+    }
+
+    #[inline(always)]
+    fn on_inst(&mut self, pc: u32, index: usize, inst: &Inst) {
+        self.executed.insert(index);
+        self.inner.on_inst(pc, index, inst);
+    }
+
+    fn on_mem(&mut self, addr: u32, size: u8, kind: AccessKind, region: Region) {
+        self.inner.on_mem(addr, size, kind, region);
+    }
+
+    #[inline(always)]
+    fn on_block(&mut self, block: usize, first: usize, len: usize) {
+        self.executed.insert_range(first..first + len);
+        self.inner.on_block(block, first, len);
+    }
 }
 
 #[cfg(test)]

@@ -7,17 +7,17 @@
 //! handful of hot loops, so those boundary costs are paid millions of
 //! times along the same few block chains.
 //!
-//! This module chains hot superblocks into JIT-style **traces**. A
-//! [`TraceEntry`] is a sequence of member blocks whose control flow was
-//! observed to be strongly biased during a warm-up phase: every member's
-//! terminator becomes a *guard* — fall-through and static jumps pass
+//! This module chains hot superblocks into JIT-style **traces**. A trace
+//! is a sequence of member blocks whose control flow was observed to be
+//! strongly biased during a warm-up phase: every member's terminator
+//! becomes a *guard* — fall-through and static jumps pass
 //! unconditionally, conditional branches are predicted in their biased
 //! direction — and a complete trip through the trace applies **one**
-//! fused statistics delta (instruction count, coverage) instead of one
-//! per member. A mispredicted guard exits the trace mid-trip,
-//! retiring the already-executed prefix at block granularity, and hands
-//! control back to block-level execution — so every observable outcome
-//! stays bit-identical to the per-instruction reference semantics (the
+//! fused instruction-count delta instead of one per member. A
+//! mispredicted guard exits the trace mid-trip, retiring the
+//! already-executed prefix in one delta too, and hands control back to
+//! block-level execution — so every observable outcome stays
+//! bit-identical to the per-instruction reference semantics (the
 //! soundness argument lives in DESIGN.md, "Trace fusion").
 //!
 //! Formation is a one-shot pass: the block engine counts per-block
@@ -166,7 +166,7 @@ pub(crate) struct TraceSeg {
     pub(crate) prefix_len: u64,
     /// Distinct blocks in members `0..=this`, as a prefix length of
     /// [`TraceEntry::blocks`] (which is in first-seen order) — the
-    /// coverage expansion applied when this member's guard mispredicts.
+    /// blocks reported when this member's guard mispredicts.
     pub(crate) distinct_hi: u32,
     pub(crate) guard: Guard,
 }
@@ -185,9 +185,10 @@ pub(crate) struct TraceEntry {
     /// Every member's memory groups, concatenated in chain order (the
     /// per-segment region-gate input).
     pub(crate) groups: Vec<MemGroup>,
-    /// Unique member block ids in first-seen order, for coverage
-    /// expansion at run end (`TraceSeg::distinct_hi` prefixes this).
-    pub(crate) blocks: Vec<u32>,
+    /// Unique members in first-seen order as (block id, first
+    /// instruction, length), reported per trip through
+    /// `Observer::on_block` (`TraceSeg::distinct_hi` prefixes this).
+    pub(crate) blocks: Vec<(u32, u32, u32)>,
     /// Fused instruction count for one complete trip.
     pub(crate) total_len: u64,
     /// Where a completed trip continues — always a static in-text block,
@@ -198,9 +199,9 @@ pub(crate) struct TraceEntry {
 }
 
 /// The mutable trace layer hung off a [`BlockTable`]: warm-up counters,
-/// formed traces, per-run trace retire counts, and telemetry. Lives in a
-/// `RefCell` on the table so it persists across per-packet `Cpu`
-/// reconstruction (PacketBench builds one table per worker).
+/// formed traces, and telemetry. Lives in a `RefCell` on the table so it
+/// persists across per-packet `Cpu` reconstruction (PacketBench builds
+/// one table per worker).
 #[derive(Debug, Clone)]
 pub(crate) struct TraceState {
     pub(crate) params: TraceParams,
@@ -220,17 +221,6 @@ pub(crate) struct TraceState {
     /// by construction.
     pub(crate) trace_of: Vec<u32>,
     pub(crate) traces: Vec<TraceEntry>,
-    /// Per-trace complete-trip counts for the current run; folded into
-    /// the run's coverage at run end, then re-zeroed.
-    pub(crate) retires: Vec<u64>,
-    /// Per-trace, per-member guard-exit counts for the current run: a
-    /// mispredict at member `i` bumps `exit_retires[t][i]` and nothing
-    /// else, so falling off a trace is O(1); the run-end fold expands
-    /// each exit point into coverage for its prefix.
-    pub(crate) exit_retires: Vec<Vec<u64>>,
-    /// Per-trace sum of `exit_retires[t]` for the current run — lets the
-    /// run-end fold skip untouched traces without walking their members.
-    pub(crate) exited: Vec<u64>,
     pub(crate) stats: TraceStats,
 }
 
@@ -245,9 +235,6 @@ impl TraceState {
             not_taken: vec![0; num_blocks],
             trace_of: vec![u32::MAX; num_blocks],
             traces: Vec::new(),
-            retires: Vec::new(),
-            exit_retires: Vec::new(),
-            exited: Vec::new(),
             stats: TraceStats::default(),
         }
     }
@@ -284,9 +271,6 @@ impl TraceState {
                 self.traces.push(entry);
             }
         }
-        self.retires = vec![0; self.traces.len()];
-        self.exit_retires = self.traces.iter().map(|t| vec![0; t.segs.len()]).collect();
-        self.exited = vec![0; self.traces.len()];
     }
 
     /// Greedily grows a guarded chain from `head`, following
@@ -297,7 +281,7 @@ impl TraceState {
         let mut segs: Vec<TraceSeg> = Vec::new();
         let mut uops: Vec<UOp> = Vec::new();
         let mut groups: Vec<MemGroup> = Vec::new();
-        let mut blocks: Vec<u32> = Vec::new();
+        let mut blocks: Vec<(u32, u32, u32)> = Vec::new();
         let mut total_len = 0u64;
         let mut cur = head;
         let mut next = u32::MAX;
@@ -316,8 +300,8 @@ impl TraceState {
                 break;
             };
             total_len += entry.len as u64;
-            if !blocks.contains(&(cur as u32)) {
-                blocks.push(cur as u32);
+            if !blocks.iter().any(|m| m.0 == cur as u32) {
+                blocks.push((cur as u32, entry.first, entry.len));
             }
             uops.extend_from_slice(table.uops(entry));
             groups.extend_from_slice(&entry.groups);

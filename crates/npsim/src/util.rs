@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 /// assert_eq!(set.count(), 2);
 /// assert_eq!(set.iter().collect::<Vec<_>>(), vec![3, 99]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct BitSet {
     words: Vec<u64>,
     capacity: usize,
@@ -51,6 +51,22 @@ impl BitSet {
         let fresh = *word & mask == 0;
         *word |= mask;
         fresh
+    }
+
+    /// Inserts every index in `range`, a word at a time.
+    #[inline]
+    pub fn insert_range(&mut self, range: std::ops::Range<usize>) {
+        assert!(
+            range.end <= self.capacity,
+            "range end {} past capacity",
+            range.end
+        );
+        let mut i = range.start;
+        while i < range.end {
+            let n = (range.end - i).min(64 - i % 64);
+            self.words[i / 64] |= (u64::MAX >> (64 - n)) << (i % 64);
+            i += n;
+        }
     }
 
     /// Whether `index` is present.

@@ -314,6 +314,59 @@ fn unknown_app_and_missing_source_are_usage_errors() {
 }
 
 #[test]
+fn misspelled_options_are_usage_errors_naming_the_option() {
+    // A misspelled option must fail loudly, never run with its default.
+    for (args, option) in [
+        (
+            &["run", "--app", "trie", "-n", "10", "--treads", "1"][..],
+            "--treads",
+        ),
+        (
+            &[
+                "stream",
+                "trie",
+                "synth:mra:seed=1:packets=100",
+                "--chunksize",
+                "8",
+            ],
+            "--chunksize",
+        ),
+        (
+            &["live", "trie", "synth:mra:packets=10", "--on-ful", "wait"],
+            "--on-ful",
+        ),
+        (
+            &["profile", "radix", "MRA", "-n", "10", "--bogus", "1"],
+            "--bogus",
+        ),
+    ] {
+        assert_usage_error(args, &format!("{} does not take {option}", args[0]));
+    }
+}
+
+#[test]
+fn profile_and_report_take_no_memo_option() {
+    // A memo hit skips simulation, so the heat observer would never see
+    // it; the profiler always simulates every packet.
+    assert_usage_error(
+        &["profile", "radix", "MRA", "-n", "10", "--memo", "on"],
+        "profile does not take --memo",
+    );
+    assert_usage_error(
+        &[
+            "report",
+            "--app",
+            "radix",
+            "--metrics",
+            "json",
+            "--memo",
+            "on",
+        ],
+        "report does not take --memo",
+    );
+}
+
+#[test]
 fn missing_pcap_file_is_a_runtime_error() {
     let out = pb(&["stream", "trie", "/nonexistent/trace.pcap"]);
     assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));

@@ -240,9 +240,9 @@ like `pb stream` below (one thread runs inline, one chunk resident), so
 memory stays flat at any -n.
 
 `pb stream` processes a source in bounded memory: packets flow through
-fixed-capacity chunk queues (reader -> shard workers -> merger) and are
-folded into an online aggregate, so a multi-gigabyte trace streams in a
-few megabytes of RAM. The source is a pcap/tsh path or a synthetic spec
+fixed-capacity chunk queues (reader -> shard workers), each worker folds
+its chunks into an online aggregate, and the folds merge at the end, so
+a multi-gigabyte trace streams in a few megabytes of RAM. The source is a pcap/tsh path or a synthetic spec
 like `synth:mra:seed=42:packets=10000000`. The report on stdout is
 byte-identical to `pb run` over the same packets at any --threads and
 --chunk-size; timing goes to stderr.

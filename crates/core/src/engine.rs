@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use nettrace::Packet;
 use npobs::export::WorkerStat;
-use npobs::timeline::{SpanLog, Stage, Timeline, TimelineSpec, WallSampler};
+use npobs::timeline::{Timeline, TimelineSpec};
 use npobs::StatusLine;
 use npsim::{Coverage, NullObserver, Observer};
 
@@ -42,7 +42,7 @@ use crate::apps::AppId;
 use crate::config::WorkloadConfig;
 use crate::error::BenchError;
 use crate::framework::{Detail, MemoMode, MemoRefusal, PacketRecord};
-use crate::lane::{assemble_timeline, settle_idle, Lane, LaneTelemetry, MonitorCounters};
+use crate::lane::{assemble_timeline, merge_lane, settle_idle, Failure, Lane, MonitorCounters};
 
 /// A parallel (or serial) runner for one application over a packet trace.
 #[derive(Debug, Clone)]
@@ -53,7 +53,6 @@ pub struct Engine {
     pub(crate) progress: bool,
     pub(crate) memo: MemoMode,
     pub(crate) timeline: Option<TimelineSpec>,
-    pub(crate) trace_params: Option<npsim::TraceParams>,
     pub(crate) watch: bool,
     pub(crate) status: Option<Arc<StatusLine>>,
 }
@@ -73,7 +72,6 @@ impl Engine {
             progress: false,
             memo: MemoMode::Off,
             timeline: None,
-            trace_params: None,
             watch: false,
             status: None,
         }
@@ -99,17 +97,6 @@ impl Engine {
     /// is a no-op, so `MemoMode::On` is always sound to request.
     pub fn memo(mut self, memo: MemoMode) -> Engine {
         self.memo = memo;
-        self
-    }
-
-    /// Overrides the hot-trace formation parameters for every worker's
-    /// `PacketBench`. `None` (the default) keeps
-    /// [`npsim::TraceParams::default`]; pass
-    /// [`npsim::TraceParams::disabled`] to benchmark the plain superblock
-    /// engine with trace fusion off. Either way results are bit-identical
-    /// — only the dispatch strategy changes.
-    pub fn trace_params(mut self, params: Option<npsim::TraceParams>) -> Engine {
-        self.trace_params = params;
         self
     }
 
@@ -239,21 +226,30 @@ impl Engine {
             .enumerate()
             .map(|(i, p)| self.shard_of(i, p, threads))
             .collect();
+        // Each worker stops at its first packet past the lowest failure:
+        // the run reports the error a serial run would have hit.
+        let failure = Failure::new();
         let worker = |w: usize| {
             let shard: Vec<usize> = (0..packets.len()).filter(|&i| assignment[i] == w).collect();
             let mut lane = Lane::new(self, w, detail, start, monitor, Coverage::new(make_obs()));
             let mut kept = Vec::with_capacity(shard.len());
             let began = lane.begin();
             for (k, &i) in shard.iter().enumerate() {
+                let index = i as u64;
+                if failure.skips(index) {
+                    break;
+                }
                 let mut record = PacketRecord::empty();
                 let backlog = || ((shard.len() - k - 1) as u64, 0);
-                lane.process(i as u64, &packets[i], &mut record, backlog)
-                    .map_err(|e| (i, e))?;
+                if let Err(e) = lane.process(index, &packets[i], &mut record, backlog) {
+                    failure.fail(index, e);
+                    break;
+                }
                 kept.push((record, lane.take_output_packets()));
             }
             lane.end();
             lane.span(w as u64, began, shard.len() as u64);
-            Ok::<_, (usize, BenchError)>((kept, lane.finish(shard.len() as u64, 0)))
+            (kept, lane.finish(shard.len() as u64, 0))
         };
         let results: Vec<_> = if threads == 1 {
             vec![worker(0)]
@@ -269,20 +265,10 @@ impl Engine {
                     .collect()
             })
         };
-
-        // Each worker stops at its own first failure; the run reports the
-        // lowest-indexed one, the error a serial run would have hit.
-        let (done, failed): (Vec<_>, Vec<_>) = results.into_iter().partition(Result::is_ok);
-        if let Some((_, e)) = failed
-            .into_iter()
-            .filter_map(Result::err)
-            .min_by_key(|e| e.0)
-        {
-            return Err(e);
-        }
+        failure.into_result()?;
         let (mut kept, mut workers, mut lanes, mut observers) =
             (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        for (records, (metrics, lane, obs)) in done.into_iter().flatten() {
+        for (records, (metrics, lane, obs)) in results {
             kept.push(records.into_iter());
             workers.push(metrics);
             lanes.extend(lane);
@@ -297,22 +283,10 @@ impl Engine {
             output_packets.extend(outs);
         }
         let merge = merge_start.elapsed();
-        // The trace-order reassembly is the engine's "merge" stage: one
-        // span on the merger lane of a wall-clock timeline.
-        if let Some(spec) = self.timeline.filter(|s| !s.deterministic) {
-            let mut log = SpanLog::new(start, spec.capacity);
-            log.record(
-                Stage::Merge,
-                0,
-                threads + 1,
-                merge_start,
-                records.len() as u64,
-            );
-            lanes.push(LaneTelemetry::Wall(
-                WallSampler::new(spec, threads + 1, start),
-                log,
-            ));
-        }
+        // The trace-order reassembly is the engine's "merge" stage.
+        let merged = records.len() as u64;
+        let merger = merge_lane(self.timeline, threads, start, merge_start, merged);
+        lanes.extend(merger);
         let timeline = assemble_timeline(self.timeline, threads, lanes);
         settle_idle(&mut workers, start);
         Ok((

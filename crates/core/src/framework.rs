@@ -54,12 +54,9 @@ pub struct Detail {
     pub pc_trace: bool,
     /// Record every data-memory access (paper Fig. 9, Table IV).
     pub mem_trace: bool,
-    /// Attach the micro-architectural models.
+    /// Attach the micro-architectural models, with
+    /// [`npsim::uarch::UarchConfig::default`] geometry and timing.
     pub uarch: bool,
-    /// Geometry/timing for the micro-architectural models; `None` uses
-    /// [`npsim::uarch::UarchConfig::default`]. Only read when `uarch` is
-    /// set.
-    pub uarch_config: Option<npsim::uarch::UarchConfig>,
 }
 
 impl Detail {
@@ -74,7 +71,6 @@ impl Detail {
             pc_trace: true,
             mem_trace: true,
             uarch: true,
-            uarch_config: None,
         }
     }
 
@@ -90,7 +86,7 @@ impl Detail {
         RunConfig {
             record_pc_trace: self.pc_trace,
             record_mem_trace: self.mem_trace,
-            uarch: self.uarch.then(|| self.uarch_config.unwrap_or_default()),
+            uarch: self.uarch.then(npsim::uarch::UarchConfig::default),
             ..RunConfig::default()
         }
     }
@@ -575,13 +571,6 @@ impl PacketBench {
     /// when trace formation is disabled.
     pub fn trace_stats(&self) -> npsim::TraceStats {
         self.block_table.trace_stats()
-    }
-
-    /// Replaces the hot-trace formation thresholds (and resets warm-up
-    /// state and telemetry). [`npsim::TraceParams::disabled`] pins the
-    /// framework to pure block-level execution.
-    pub fn set_trace_params(&mut self, params: npsim::TraceParams) {
-        self.block_table.set_trace_params(params);
     }
 
     /// Runs one packet through the application, recording its coverage

@@ -7,19 +7,20 @@
 //! live npring ring. It owns
 //!
 //! * the worker's [`PacketBench`], built on its first packet in the only
-//!   place any driver builds one, with the engine's memo mode and trace
-//!   parameters;
+//!   place any driver builds one, with the engine's memo mode;
 //! * its timeline lane and sampler counters;
 //! * its `--progress`/`--watch` counter deltas;
 //! * its packet and busy-time counts.
 //!
 //! Drivers differ only in transport and in what they keep of each record
 //! (the record itself, or a fold). The monitor thread that prints the
-//! status line ([`Engine::monitored`]) and the run-end timeline merge
-//! ([`assemble_timeline`]) live here too, one of each for all drivers.
+//! status line ([`Engine::monitored`]), the run-end timeline merge
+//! ([`assemble_timeline`]) and the failure rule ([`Failure`]) live here
+//! too, one of each for all drivers.
 
 use std::fmt::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
@@ -190,6 +191,25 @@ pub(crate) fn assemble_timeline(
     })
 }
 
+/// The merger lane of a wall-clock timeline over `threads` workers: one
+/// `Merge` span from `began` to now over `packets`. `None` unless `spec`
+/// samples the wall clock.
+pub(crate) fn merge_lane(
+    spec: Option<TimelineSpec>,
+    threads: usize,
+    start: Instant,
+    began: Instant,
+    packets: u64,
+) -> Option<LaneTelemetry> {
+    let spec = spec.filter(|s| !s.deterministic)?;
+    let mut log = SpanLog::new(start, spec.capacity);
+    log.record(Stage::Merge, 0, threads + 1, began, packets);
+    Some(LaneTelemetry::Wall(
+        WallSampler::new(spec, threads + 1, start),
+        log,
+    ))
+}
+
 /// Sets each worker's idle time: the run's wall time so far less the
 /// worker's busy time.
 pub(crate) fn settle_idle(workers: &mut [WorkerMetrics], start: Instant) {
@@ -199,7 +219,66 @@ pub(crate) fn settle_idle(workers: &mut [WorkerMetrics], start: Instant) {
     }
 }
 
-fn nanos(d: Duration) -> u64 {
+const HELD: &str = "no thread panics holding a failure cell";
+
+/// A run's failure, shared by its threads: every driver reports the
+/// error a serial run in its dispatch order would stop at. Work has a
+/// position (a packet's trace index in batch and live, a chunk's flush
+/// id in stream); the lowest failed position wins, and work positioned
+/// after it need not run. A packet failure beats a source error.
+pub(crate) struct Failure {
+    /// The lowest failed position, `u64::MAX` while none has failed.
+    /// `Relaxed` throughout: it publishes no other data, and the error
+    /// is read only after every thread has joined.
+    lowest: AtomicU64,
+    first: Mutex<Option<(u64, BenchError)>>,
+    source: Mutex<Option<BenchError>>,
+}
+
+impl Failure {
+    pub(crate) fn new() -> Failure {
+        Failure {
+            lowest: AtomicU64::new(u64::MAX),
+            first: Mutex::new(None),
+            source: Mutex::new(None),
+        }
+    }
+
+    /// Records that the work at `pos` failed with `e`.
+    pub(crate) fn fail(&self, pos: u64, e: BenchError) {
+        self.lowest.fetch_min(pos, Ordering::Relaxed);
+        let mut first = self.first.lock().expect(HELD);
+        if first.as_ref().is_none_or(|(at, _)| pos < *at) {
+            *first = Some((pos, e));
+        }
+    }
+
+    /// Records the source's open or read error; the first one wins.
+    pub(crate) fn fail_source(&self, e: BenchError) {
+        let mut source = self.source.lock().expect(HELD);
+        source.get_or_insert(e);
+    }
+
+    /// Whether some work failed, so nothing more need be read.
+    pub(crate) fn stopped(&self) -> bool {
+        self.lowest.load(Ordering::Relaxed) != u64::MAX
+    }
+
+    /// Whether `pos` comes after the lowest failure so far.
+    pub(crate) fn skips(&self, pos: u64) -> bool {
+        pos > self.lowest.load(Ordering::Relaxed)
+    }
+
+    /// The run's outcome: the lowest work failure, else the source error.
+    pub(crate) fn into_result(self) -> Result<(), BenchError> {
+        match self.first.into_inner().expect(HELD) {
+            Some((_, e)) => Err(e),
+            None => self.source.into_inner().expect(HELD).map_or(Ok(()), Err),
+        }
+    }
+}
+
+pub(crate) fn nanos(d: Duration) -> u64 {
     d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
@@ -269,9 +348,6 @@ impl<'e, O: Observer> Lane<'e, O> {
         let app = App::build(engine.id(), engine.config())?;
         let mut bench = PacketBench::with_config(app, engine.config())?;
         bench.set_memo(engine.memo);
-        if let Some(params) = engine.trace_params {
-            bench.set_trace_params(params);
-        }
         Ok(bench)
     }
 
@@ -536,6 +612,68 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn mismatch(what: impl ToString) -> BenchError {
+        BenchError::Mismatch {
+            what: what.to_string(),
+        }
+    }
+
+    fn truncated() -> BenchError {
+        BenchError::from(nettrace::TraceError::Truncated { what: "record" })
+    }
+
+    #[test]
+    fn failure_keeps_the_lowest_position_recorded_from_any_thread() {
+        let failure = Failure::new();
+        assert!(!failure.stopped());
+        assert!(!failure.skips(u64::MAX - 1));
+        // Positions 10..74 in a scrambled order, split over four threads.
+        let positions: Vec<u64> = (0..64).map(|k| (k * 29) % 64 + 10).collect();
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (failure, positions) = (&failure, &positions);
+                scope.spawn(move || {
+                    for &pos in positions.iter().skip(t).step_by(4) {
+                        failure.fail(pos, mismatch(pos));
+                    }
+                });
+            }
+        });
+        assert!(failure.stopped());
+        assert!(!failure.skips(9));
+        assert!(
+            !failure.skips(10),
+            "the lowest failure itself is not skipped"
+        );
+        assert!(failure.skips(11));
+        let err = failure.into_result().unwrap_err();
+        assert!(
+            matches!(&err, BenchError::Mismatch { what } if what == "10"),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn a_source_error_alone_stops_nothing() {
+        let failure = Failure::new();
+        failure.fail_source(truncated());
+        assert!(!failure.stopped());
+        assert!(!failure.skips(0));
+        assert!(!failure.skips(u64::MAX - 1));
+        let err = failure.into_result().unwrap_err();
+        assert!(err.to_string().contains("truncated record"), "{err}");
+        assert!(Failure::new().into_result().is_ok());
+    }
+
+    #[test]
+    fn a_packet_failure_beats_a_source_error() {
+        let failure = Failure::new();
+        failure.fail_source(truncated());
+        failure.fail(900, mismatch("packet 900"));
+        let err = failure.into_result().unwrap_err();
+        assert!(matches!(err, BenchError::Mismatch { .. }), "{err:?}");
     }
 
     #[test]

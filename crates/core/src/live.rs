@@ -50,8 +50,7 @@
 //! timelines sample logical per-packet deltas keyed on the global index
 //! and exclude `ring_dropped` entirely.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use nettrace::{Limited, PacketSource};
@@ -65,7 +64,7 @@ use crate::analysis::StreamAggregate;
 use crate::engine::{Engine, WorkerMetrics};
 use crate::error::BenchError;
 use crate::framework::{Detail, PacketRecord};
-use crate::lane::{assemble_timeline, settle_idle, Lane, LaneTelemetry, MonitorCounters};
+use crate::lane::{assemble_timeline, settle_idle, Failure, Lane, LaneTelemetry, MonitorCounters};
 
 /// What the producer does when a lane's packet pool is exhausted.
 ///
@@ -251,9 +250,10 @@ impl Engine {
     /// # Errors
     ///
     /// The failing packet with the lowest global index (worker
-    /// failures), else the source's open/read error. On error the run
-    /// cancels: the producer stops, workers drain and retire without
-    /// simulating, and every thread joins before this returns.
+    /// failures), else the source's open/read error. Once a packet fails
+    /// the producer stops, workers drain and retire without simulating
+    /// any burst that starts past the lowest failure, and every thread
+    /// joins before this returns.
     pub fn run_live(
         &self,
         spec: &SourceSpec,
@@ -288,9 +288,7 @@ impl Engine {
         // read after join, when every counter is final.
         let ring_stats: Vec<RingStats> = producers.iter().map(|p| p.stats()).collect();
 
-        let cancelled = AtomicBool::new(false);
-        let failure: Mutex<Option<(u64, BenchError)>> = Mutex::new(None);
-        let source_error: Mutex<Option<BenchError>> = Mutex::new(None);
+        let failure = Failure::new();
         // The producer lane samples on the wall clock only; deterministic
         // timelines are built from worker-side logical deltas alone.
         let wall_spec = self.timeline.filter(|s| !s.deterministic);
@@ -301,8 +299,7 @@ impl Engine {
 
         std::thread::scope(|scope| {
             let producer = {
-                let cancelled = &cancelled;
-                let source_error = &source_error;
+                let failure = &failure;
                 let mut producers = producers;
                 scope.spawn(move || {
                     let mut pacer = Pacer::new(config.rate);
@@ -312,7 +309,7 @@ impl Engine {
                         let opened = match spec.open() {
                             Ok(source) => source,
                             Err(e) => {
-                                *source_error.lock().unwrap() = Some(BenchError::from(e));
+                                failure.fail_source(BenchError::from(e));
                                 break 'produce;
                             }
                         };
@@ -323,7 +320,7 @@ impl Engine {
                         let loop_began = Instant::now();
                         let mut loop_packets = 0u64;
                         loop {
-                            if cancelled.load(Ordering::Acquire) {
+                            if failure.stopped() {
                                 break 'produce;
                             }
                             match source.next_packet() {
@@ -333,9 +330,8 @@ impl Engine {
                                     let accepted = match config.on_full {
                                         OnFull::Drop => producers[shard].offer(global, &packet),
                                         OnFull::Wait => {
-                                            producers[shard].offer_wait(global, &packet, || {
-                                                cancelled.load(Ordering::Acquire)
-                                            })
+                                            producers[shard]
+                                                .offer_wait(global, &packet, || failure.stopped())
                                         }
                                     };
                                     if let (false, Some(monitor)) = (accepted, monitor) {
@@ -370,7 +366,7 @@ impl Engine {
                                     break;
                                 }
                                 Err(e) => {
-                                    *source_error.lock().unwrap() = Some(BenchError::from(e));
+                                    failure.fail_source(BenchError::from(e));
                                     break 'produce;
                                 }
                             }
@@ -397,7 +393,6 @@ impl Engine {
                 .into_iter()
                 .enumerate()
                 .map(|(w, consumer)| {
-                    let cancelled = &cancelled;
                     let failure = &failure;
                     scope.spawn(move || {
                         live_worker(
@@ -407,7 +402,6 @@ impl Engine {
                             burst,
                             detail,
                             config.metrics,
-                            cancelled,
                             failure,
                             monitor,
                             start,
@@ -425,12 +419,7 @@ impl Engine {
             }
         });
 
-        if let Some((_, e)) = failure.into_inner().unwrap() {
-            return Err(e);
-        }
-        if let Some(e) = source_error.into_inner().unwrap() {
-            return Err(e);
-        }
+        failure.into_result()?;
 
         let produced: u64 = ring_stats.iter().map(|s| s.produced()).sum();
         let dropped: u64 = ring_stats.iter().map(|s| s.dropped()).sum();
@@ -474,9 +463,9 @@ impl Engine {
 
     /// One live worker: burst-dequeue, run every view in place through
     /// the lane, retire the burst. The lane builds its `PacketBench` on
-    /// the first packet, so idle lanes cost nothing. On failure (its own
-    /// or another worker's, via `cancelled`) the worker keeps draining
-    /// and retiring *without* simulating, so the producer never wedges on
+    /// the first packet, so idle lanes cost nothing. A burst that starts
+    /// after the lowest failure (this worker's or another's) is drained
+    /// and retired *without* simulating, so the producer never wedges on
     /// a full pool and the retire accounting stays exact.
     #[allow(clippy::too_many_arguments)]
     fn live_worker<O: Observer + Default>(
@@ -486,8 +475,7 @@ impl Engine {
         burst: usize,
         detail: Detail,
         collect_hists: bool,
-        cancelled: &AtomicBool,
-        failure: &Mutex<Option<(u64, BenchError)>>,
+        failure: &Failure,
         monitor: Option<&MonitorCounters>,
         start: Instant,
     ) -> (WorkerMetrics, Option<LaneTelemetry>, LaneFold) {
@@ -498,7 +486,6 @@ impl Engine {
             occupancy: Log2Histogram::new(),
             bursts: Log2Histogram::new(),
         };
-        let mut failed = false;
         // One scratch record for the lane's whole run: every packet
         // overwrites it, so the executed set is allocated once.
         let mut record = PacketRecord::empty();
@@ -531,18 +518,13 @@ impl Engine {
             fold.bursts.record(n as u64);
             fold.occupancy.record(occupancy);
             lane.begin();
-            if !failed && !cancelled.load(Ordering::Acquire) {
+            if !failure.skips(consumer.packet(0).index()) {
                 let backlog = || (consumer.occupancy() as u64, consumer.stats().dropped());
                 for i in 0..n {
                     let view = consumer.packet(i);
                     let index = view.index();
                     if let Err(error) = lane.process(index, &view, &mut record, backlog) {
-                        let mut slot = failure.lock().expect("no thread panics holding it");
-                        if slot.as_ref().is_none_or(|(i, _)| index < *i) {
-                            *slot = Some((index, error));
-                        }
-                        cancelled.store(true, Ordering::Release);
-                        failed = true;
+                        failure.fail(index, error);
                         break;
                     }
                     fold.aggregate.add_record(&record);
@@ -562,7 +544,7 @@ impl Engine {
             lane.end();
             // Retire even when simulation was skipped: slot accounting is
             // unconditional, so `produced == dropped + retired` survives
-            // cancellation.
+            // a failure.
             consumer.retire_burst();
         }
         let packets = lane.packets();

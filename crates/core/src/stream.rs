@@ -3,8 +3,8 @@
 //!
 //! `Engine::run` materializes the whole trace before any packet executes,
 //! so peak memory grows linearly with trace length. This module feeds the
-//! same sharded workers from a pull-based [`PacketSource`] through a
-//! fixed-capacity pipeline, so memory use is a function of the
+//! same sharded workers from a pull-based [`PacketSource`] through
+//! fixed-capacity queues, so memory use is a function of the
 //! configuration alone:
 //!
 //! ```text
@@ -12,9 +12,11 @@
 //! peak buffered packets <= chunk_size                              (threads = 1)
 //! ```
 //!
-//! (each worker buffers at most one chunk of partially-filled shard
-//! buffer on the reader side, plus at most `max_inflight` dispatched
-//! chunks anywhere between reader flush and merger fold).
+//! (the reader's partly filled shard buffers hold at most one chunk per
+//! worker, and each worker's queue plus the chunk it is processing hold
+//! at most its share of the `max_inflight` window). The bound holds
+//! whenever `max_inflight >= 2 * threads`, which the default of four
+//! chunks per worker meets; a smaller window behaves as `2 * threads`.
 //!
 //! ## One thread: run to completion
 //!
@@ -23,76 +25,77 @@
 //! [`Engine::run`] does at one thread: fill one reused [`Chunk`] of
 //! `chunk_size` packets from the source, process it through the same
 //! per-chunk body the pipeline workers use, merge its aggregate, repeat.
-//! No thread, semaphore or queue is created, and each packet is freed on
-//! the thread that allocated it. Chunking, chunk ids, the logical
-//! timeline, the wall-clock lanes (reader `threads`, worker 0, merger
-//! `threads + 1`) and error precedence are the pipeline's: a source error
-//! abandons the partly filled chunk unprocessed, exactly as the threaded
-//! reader drops its partial shard buffers.
+//! No thread or queue is created, and each packet is freed on the thread
+//! that allocated it. Chunking, chunk ids, the logical timeline, the
+//! wall-clock lanes (reader `threads`, worker 0, merger `threads + 1`)
+//! and error precedence are the pipeline's: a source error abandons the
+//! partly filled chunk unprocessed, exactly as the threaded reader drops
+//! its partial shard buffers.
 //!
 //! ## Pipeline (threads > 1)
 //!
 //! * A **reader** thread pulls packets from the source, assigns each its
 //!   global trace index, and shards it with the exact rule batch runs use
 //!   (`Engine::shard_of`). Per-shard buffers flush as fixed-size
-//!   [`Chunk`]s; before dispatching a chunk the reader acquires one
-//!   permit from a [`Semaphore`] sized `max_inflight`, then pushes the
-//!   chunk to the owning worker's input queue and the worker's id to a
-//!   shared `order` queue. Flush order is a pure function of the trace,
-//!   the sharding rule, and `chunk_size` — never of thread timing.
+//!   [`Chunk`]s, each pushed under the next flush id to the owning
+//!   worker's bounded input queue of `max(1, max_inflight / threads - 1)`
+//!   chunks. The reader blocks while that queue is full: that is the
+//!   backpressure. Flush order is a pure function of the trace, the
+//!   sharding rule, and `chunk_size` — never of thread timing.
 //! * **Workers** (one per shard, each a `Lane` owning a private
 //!   `PacketBench`) pop chunks FIFO, process every packet with the batch
-//!   clock (`process_packet_at(index, ..)`), fold the records into a
-//!   per-chunk [`StreamAggregate`], discard emitted output packets, and
-//!   push one outcome per chunk to their result queue.
-//! * The **merger** (the calling thread) pops worker ids from `order` and
-//!   the matching outcome from that worker's result queue, releases the
-//!   chunk's permit, and merges aggregates *in flush order*.
+//!   clock (`process_packet_at(index, ..)`), fold the records into their
+//!   own [`StreamAggregate`], and discard emitted output packets.
+//! * The calling thread joins them and merges the workers' folds.
 //!
 //! ## Determinism
 //!
 //! Per-packet results are bit-identical to the batch engine's: the shard
 //! rule, each worker's FIFO processing order, and the global-index clock
 //! are all the same, so every `PacketRecord` matches the batch run's
-//! record for that index. The merge order (flush order) is deterministic,
-//! and [`StreamAggregate`] folds are exact integer sums plus an exact
-//! histogram — associative and commutative — so the merged aggregate
-//! equals the serial trace-order fold at **any** thread count and chunk
-//! size. `pb stream` therefore prints the same report bytes at every
-//! `--threads` and `--chunk-size`, and `pb run` is a front end to this
-//! same driver.
+//! record for that index. [`StreamAggregate`] folds are exact integer
+//! sums plus an exact histogram — associative and commutative — so the
+//! merged aggregate equals the serial trace-order fold at **any** thread
+//! count, chunk size and merge order. `pb stream` therefore prints the
+//! same report bytes at every `--threads` and `--chunk-size`, and
+//! `pb run` is a front end to this same driver.
 //!
-//! ## Why it cannot deadlock
+//! ## No wait cycle: workers never push
 //!
-//! Every queue's capacity equals the permit count, and a permit is held
-//! for a chunk's whole life (reader flush → merger fold): workers and the
-//! reader can never block on a full queue, only the semaphore blocks the
-//! reader, and the merger only waits on outcomes of chunks already inside
-//! the pipeline. The wait graph is acyclic for any `max_inflight >= 1`;
-//! see DESIGN.md for the full argument.
+//! The reader waits only for room in a worker's queue, and a worker
+//! waits only for the reader's next chunk. No worker ever pushes, so the
+//! wait graph is acyclic for any window. The reader closes every queue
+//! however it ends, a panicking source included, so each worker drains
+//! its queue and exits, and the reader's panic reaches the caller.
 //!
-//! On error the pipeline cancels: the failing worker reports one
-//! `Failed` outcome and skips its later chunks; the merger — which sees
-//! outcomes in flush order — records the first failure, raises a
-//! cancellation flag for the reader, and keeps draining (releasing
-//! permits) so every thread unblocks. Because outcomes merge in flush
-//! order and each worker fails at its earliest failing chunk, the
-//! reported error is deterministic.
+//! ## Failures
+//!
+//! A chunk's position is its flush id. A worker whose chunk fails
+//! records it in the run's failure cell (`lane::Failure`); the reader
+//! then stops reading, and every worker skips the chunks flushed after
+//! the lowest failed one while it drains its queue. Chunks the reader
+//! never dispatched would have had higher ids, so nothing is lost: each
+//! worker runs a prefix of its chunks exactly as a serial run would, and
+//! the reported error is the first failing packet of the lowest-id
+//! failing chunk, deterministic for a given configuration. A source
+//! error drops the reader's partial shard buffers; a packet failure in a
+//! dispatched chunk still beats it.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use nettrace::{Packet, PacketSource};
 use npobs::timeline::{Sample, Stage, Timeline};
 use npsim::NullObserver;
-use npstream::{BoundedQueue, Chunk, Semaphore, ShardBuffers};
+use npstream::{BoundedQueue, Chunk, ShardBuffers};
 
 use crate::analysis::StreamAggregate;
 use crate::engine::{Engine, WorkerMetrics};
 use crate::error::BenchError;
 use crate::framework::{Detail, PacketRecord};
-use crate::lane::{assemble_timeline, settle_idle, Lane, LaneTelemetry, MonitorCounters};
+use crate::lane::{
+    assemble_timeline, merge_lane, nanos, settle_idle, Failure, Lane, LaneTelemetry,
+    MonitorCounters,
+};
 
 /// Sizing of the streaming pipeline. Zeros mean "pick a default":
 /// `threads = 0` uses available parallelism, `chunk_size = 0` uses
@@ -104,9 +107,11 @@ pub struct StreamConfig {
     pub threads: usize,
     /// Packets per dispatched chunk (0 = default).
     pub chunk_size: usize,
-    /// Chunks allowed in flight between reader and merger (0 = default).
-    /// This is the backpressure window: the reader stalls once
-    /// `max_inflight` chunks are dispatched but not yet folded.
+    /// Chunks allowed in flight between the reader and the workers' folds
+    /// (0 = default). This is the backpressure window: each worker holds
+    /// at most `max_inflight / threads` chunks, queued or in hand, and
+    /// the reader stalls on a worker whose share is full. A window under
+    /// `2 * threads` behaves as `2 * threads`.
     pub max_inflight: usize,
 }
 
@@ -181,20 +186,6 @@ impl StreamRun {
     }
 }
 
-/// One worker's verdict on one chunk. Exactly one outcome is pushed per
-/// dispatched chunk, so the merger's drain always terminates.
-enum ChunkOutcome {
-    /// Every packet in the chunk processed; here is the chunk's fold.
-    Stats(StreamAggregate),
-    /// A packet failed; the chunk's fold is abandoned. The failing
-    /// packet's trace index is deterministic (first failure in chunk
-    /// flush order) even though only the error is carried.
-    Failed(BenchError),
-    /// Skipped without processing (an earlier chunk on this worker
-    /// failed, or the run was cancelled).
-    Skipped,
-}
-
 /// What a driver hands back to [`Engine::run_streaming`]: the merged
 /// aggregate, chunks folded, per-worker metrics (`idle_ns` still unset),
 /// and every telemetry lane it kept.
@@ -210,13 +201,14 @@ impl Engine {
     /// and returns the online aggregate. The aggregate is bit-identical
     /// to what a batch [`Engine::run`] over the same packets produces, at
     /// any thread count and chunk size. One thread runs inline on the
-    /// calling thread; more run the reader/worker/merger pipeline (see
-    /// the module docs).
+    /// calling thread; more run a reader thread feeding one folding
+    /// worker per shard (see the module docs).
     ///
     /// # Errors
     ///
     /// The first failing packet in chunk flush order (deterministic for a
-    /// given configuration), or the source's read error.
+    /// given configuration), or the source's read error. A panic in the
+    /// source reaches the caller.
     pub fn run_streaming<S>(
         &self,
         source: S,
@@ -357,9 +349,10 @@ impl Engine {
         })
     }
 
-    /// The threaded driver for `threads > 1`: a reader thread, one worker
-    /// thread per shard and the merger on the calling thread, joined by
-    /// bounded queues under a permit semaphore (see the module docs).
+    /// The threaded driver for `threads > 1`: a reader thread shards
+    /// chunks into one bounded queue per worker, each worker folds its
+    /// chunks, and the calling thread merges the folds after join (see
+    /// the module docs).
     #[allow(clippy::too_many_arguments)]
     fn stream_pipelined<S: PacketSource + Send>(
         &self,
@@ -371,183 +364,49 @@ impl Engine {
         start: Instant,
         monitor: Option<&MonitorCounters>,
     ) -> Result<Folded, BenchError> {
-        // One permit per in-flight chunk; every queue's capacity matches
-        // the permit count so only the semaphore can block the reader and
-        // nothing can block a worker's push (see module docs). Chunks
-        // carry their dispatch-order id so worker spans and merger folds
-        // agree on naming.
-        let permits = Semaphore::new(max_inflight);
-        let order: BoundedQueue<usize> = BoundedQueue::new(max_inflight);
-        let inputs: Vec<BoundedQueue<(u64, Chunk<Packet>)>> = (0..threads)
-            .map(|_| BoundedQueue::new(max_inflight))
-            .collect();
-        let results: Vec<BoundedQueue<ChunkOutcome>> = (0..threads)
-            .map(|_| BoundedQueue::new(max_inflight))
-            .collect();
-        let cancelled = AtomicBool::new(false);
-        let source_error: Mutex<Option<BenchError>> = Mutex::new(None);
-        // The wall-clock sampler lanes: workers 0..threads, the reader at
-        // `threads`, the merger at `threads + 1`. Deterministic timelines
-        // sample only inside workers (per-packet logical deltas).
-        let wall_spec = self.timeline.filter(|s| !s.deterministic);
-
-        let mut workers: Vec<WorkerMetrics> = Vec::with_capacity(threads);
-        let mut lanes: Vec<LaneTelemetry> = Vec::new();
-        let mut aggregate = StreamAggregate::new();
-        let mut chunks = 0u64;
-        let mut first_error: Option<BenchError> = None;
-        let mut merger_lane = wall_spec.map(|s| LaneTelemetry::new(s, threads + 1, start));
-
-        std::thread::scope(|scope| {
-            let reader = {
-                let permits = &permits;
-                let order = &order;
-                let inputs = &inputs;
-                let cancelled = &cancelled;
-                let source_error = &source_error;
-                let mut source = source;
-                scope.spawn(move || {
-                    let mut buffers: ShardBuffers<Packet> = ShardBuffers::new(threads, chunk_size);
-                    let mut lane = wall_spec.map(|s| LaneTelemetry::new(s, threads, start));
-                    let mut backpressure_ns = 0u64;
-                    let mut chunk_id = 0u64;
-                    let mut dispatch = |shard: usize,
-                                        chunk: Chunk<Packet>,
-                                        lane: &mut Option<LaneTelemetry>,
-                                        backpressure_ns: &mut u64|
-                     -> bool {
-                        let began = Instant::now();
-                        permits.acquire();
-                        *backpressure_ns +=
-                            began.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                        let id = chunk_id;
-                        chunk_id += 1;
-                        let chunk_packets = chunk.len() as u64;
-                        // Input before order: once the merger learns of a
-                        // chunk, the chunk is already poppable by its
-                        // worker.
-                        let ok =
-                            inputs[shard].push((id, chunk)).is_ok() && order.push(shard).is_ok();
-                        if let Some(LaneTelemetry::Wall(_, log)) = lane {
-                            // The read span covers the backpressure wait
-                            // plus the (non-blocking) queue pushes.
-                            log.record(Stage::Read, id, threads, began, chunk_packets);
-                        }
-                        ok
-                    };
-                    'read: while !cancelled.load(Ordering::Acquire) {
-                        match source.next_packet() {
-                            Ok(Some(packet)) => {
-                                let shard =
-                                    self.shard_of(buffers.next_index() as usize, &packet, threads);
-                                if let Some(LaneTelemetry::Wall(sampler, _)) = &mut lane {
-                                    if sampler.on_packet() {
-                                        let inflight =
-                                            max_inflight.saturating_sub(permits.available());
-                                        sampler.push(Sample {
-                                            queue_depth: inflight as u64,
-                                            backpressure_ns,
-                                            ..Sample::default()
-                                        });
-                                    }
-                                }
-                                if let Some((shard, chunk)) = buffers.push(shard, packet) {
-                                    if !dispatch(shard, chunk, &mut lane, &mut backpressure_ns) {
-                                        break 'read;
-                                    }
-                                }
-                            }
-                            Ok(None) => {
-                                for (shard, chunk) in buffers.finish() {
-                                    if !dispatch(shard, chunk, &mut lane, &mut backpressure_ns) {
-                                        break;
-                                    }
-                                }
-                                break 'read;
-                            }
-                            Err(e) => {
-                                *source_error.lock().unwrap() = Some(BenchError::from(e));
-                                break 'read;
-                            }
-                        }
-                    }
-                    // No more chunks will be dispatched: the merger's
-                    // drain ends once in-flight outcomes are folded, and
-                    // idle workers wake up and exit.
-                    order.close();
-                    for input in inputs {
-                        input.close();
-                    }
-                    lane
-                })
-            };
-
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let input = &inputs[w];
-                    let result = &results[w];
-                    let cancelled = &cancelled;
+        // A worker's queued chunks plus the one it is processing are its
+        // share of the window.
+        let depth = (max_inflight / threads).saturating_sub(1).max(1);
+        let inputs: Vec<BoundedQueue<(u64, Chunk<Packet>)>> =
+            (0..threads).map(|_| BoundedQueue::new(depth)).collect();
+        let failure = Failure::new();
+        let (reader_lane, chunks, done) = std::thread::scope(|scope| {
+            let reader =
+                scope.spawn(|| self.stream_reader(source, &inputs, chunk_size, &failure, start));
+            let handles: Vec<_> = inputs
+                .iter()
+                .enumerate()
+                .map(|(w, input)| {
+                    let failure = &failure;
                     scope.spawn(move || {
-                        self.stream_worker(w, input, result, detail, cancelled, monitor, start)
+                        self.stream_worker(w, input, detail, failure, monitor, start)
                     })
                 })
                 .collect();
-
-            // The merger runs here, on the caller's thread: fold
-            // outcomes in flush order, releasing each chunk's permit.
-            while let Some(w) = order.pop() {
-                let fold_began = Instant::now();
-                let outcome = results[w]
-                    .pop()
-                    .expect("workers push exactly one outcome per chunk");
-                permits.release();
-                let id = chunks;
-                chunks += 1;
-                let mut fold_packets = 0u64;
-                match outcome {
-                    ChunkOutcome::Stats(agg) => {
-                        fold_packets = agg.packets();
-                        if first_error.is_none() {
-                            aggregate.merge(&agg);
-                        }
-                    }
-                    ChunkOutcome::Failed(error) => {
-                        if first_error.is_none() {
-                            first_error = Some(error);
-                            cancelled.store(true, Ordering::Release);
-                        }
-                    }
-                    ChunkOutcome::Skipped => {}
-                }
-                if let Some(LaneTelemetry::Wall(sampler, log)) = &mut merger_lane {
-                    // The merge span includes the wait for the worker's
-                    // outcome — merger stalls are visible, not hidden.
-                    log.record(Stage::Merge, id, threads + 1, fold_began, fold_packets);
-                    if sampler.on_packets(fold_packets) {
-                        let inflight = max_inflight.saturating_sub(permits.available());
-                        sampler.push(Sample {
-                            queue_depth: inflight as u64,
-                            ..Sample::default()
-                        });
-                    }
-                }
-            }
-
-            lanes.extend(reader.join().expect("reader thread never panics"));
-            for handle in handles {
-                let (metrics, lane) = handle.join().expect("worker threads never panic");
-                workers.push(metrics);
-                lanes.extend(lane);
-            }
+            // A panicking source reaches the caller, as at one thread.
+            let (lane, chunks) = reader
+                .join()
+                .unwrap_or_else(|p| std::panic::resume_unwind(p));
+            let done: Vec<_> = handles
+                .into_iter()
+                .map(|h| h.join().expect("worker threads never panic"))
+                .collect();
+            (lane, chunks, done)
         });
+        failure.into_result()?;
 
-        if let Some(e) = first_error {
-            return Err(e);
+        let merge_start = Instant::now();
+        let mut aggregate = StreamAggregate::new();
+        let mut workers = Vec::with_capacity(threads);
+        let mut lanes: Vec<LaneTelemetry> = reader_lane.into_iter().collect();
+        for (metrics, lane, fold) in done {
+            aggregate.merge(&fold);
+            workers.push(metrics);
+            lanes.extend(lane);
         }
-        if let Some(e) = source_error.into_inner().unwrap() {
-            return Err(e);
-        }
-        lanes.extend(merger_lane);
+        let merged = aggregate.packets();
+        let merger = merge_lane(self.timeline, threads, start, merge_start, merged);
+        lanes.extend(merger);
         Ok(Folded {
             aggregate,
             chunks,
@@ -556,41 +415,113 @@ impl Engine {
         })
     }
 
-    /// One streaming worker: pop chunks FIFO, run each through the lane,
-    /// push one outcome per chunk. The lane builds its `PacketBench` on
-    /// the first packet, so idle workers cost nothing.
-    #[allow(clippy::too_many_arguments)]
+    /// The pipeline's reader: pulls packets, shards them with the batch
+    /// rule and pushes each flushed shard buffer to its worker's queue as
+    /// the next chunk, until the source ends or fails or a chunk fails.
+    /// Returns its wall-clock lane (reader `threads`) and the chunks it
+    /// dispatched. A source error abandons the partial shard buffers.
+    fn stream_reader<S: PacketSource>(
+        &self,
+        mut source: S,
+        inputs: &[BoundedQueue<(u64, Chunk<Packet>)>],
+        chunk_size: usize,
+        failure: &Failure,
+        start: Instant,
+    ) -> (Option<LaneTelemetry>, u64) {
+        // Closes every worker queue however the reader ends, a panicking
+        // source included, so each worker drains its queue and exits.
+        struct CloseAll<'a, T>(&'a [BoundedQueue<T>]);
+        impl<T> Drop for CloseAll<'_, T> {
+            fn drop(&mut self) {
+                self.0.iter().for_each(BoundedQueue::close);
+            }
+        }
+        let _close = CloseAll(inputs);
+        let threads = inputs.len();
+        let mut buffers: ShardBuffers<Packet> = ShardBuffers::new(threads, chunk_size);
+        let wall_spec = self.timeline.filter(|s| !s.deterministic);
+        let mut lane = wall_spec.map(|s| LaneTelemetry::new(s, threads, start));
+        let mut backpressure_ns = 0u64;
+        let mut chunks = 0u64;
+        // The read span and the backpressure count cover the push, which
+        // blocks while the worker's queue is full.
+        let mut dispatch = |shard: usize,
+                            chunk: Chunk<Packet>,
+                            lane: &mut Option<LaneTelemetry>,
+                            backpressure_ns: &mut u64| {
+            let began = Instant::now();
+            let (id, packets) = (chunks, chunk.len() as u64);
+            chunks += 1;
+            // Only this reader closes the queues, so the push cannot fail.
+            let _ = inputs[shard].push((id, chunk));
+            *backpressure_ns += nanos(began.elapsed());
+            if let Some(LaneTelemetry::Wall(_, log)) = lane {
+                log.record(Stage::Read, id, threads, began, packets);
+            }
+        };
+        // Chunks not yet dispatched would get ids past any failed one.
+        while !failure.stopped() {
+            match source.next_packet() {
+                Ok(Some(packet)) => {
+                    let shard = self.shard_of(buffers.next_index() as usize, &packet, threads);
+                    if let Some(LaneTelemetry::Wall(sampler, _)) = &mut lane {
+                        if sampler.on_packet() {
+                            let queued: usize = inputs.iter().map(BoundedQueue::len).sum();
+                            sampler.push(Sample {
+                                queue_depth: queued as u64,
+                                backpressure_ns,
+                                ..Sample::default()
+                            });
+                        }
+                    }
+                    if let Some((shard, chunk)) = buffers.push(shard, packet) {
+                        dispatch(shard, chunk, &mut lane, &mut backpressure_ns);
+                    }
+                }
+                Ok(None) => {
+                    for (shard, chunk) in buffers.finish() {
+                        dispatch(shard, chunk, &mut lane, &mut backpressure_ns);
+                    }
+                    break;
+                }
+                Err(e) => {
+                    failure.fail_source(BenchError::from(e));
+                    break;
+                }
+            }
+        }
+        (lane, chunks)
+    }
+
+    /// One streaming worker: pop chunks FIFO and fold each through the
+    /// lane, skipping every chunk flushed after the lowest failure. The
+    /// lane builds its `PacketBench` on the first packet, so idle workers
+    /// cost nothing.
     fn stream_worker(
         &self,
         worker: usize,
         input: &BoundedQueue<(u64, Chunk<Packet>)>,
-        result: &BoundedQueue<ChunkOutcome>,
         detail: Detail,
-        cancelled: &AtomicBool,
+        failure: &Failure,
         monitor: Option<&MonitorCounters>,
         start: Instant,
-    ) -> (WorkerMetrics, Option<LaneTelemetry>) {
+    ) -> (WorkerMetrics, Option<LaneTelemetry>, StreamAggregate) {
         let mut lane = Lane::new(self, worker, detail, start, monitor, NullObserver);
         let mut record = PacketRecord::empty();
-        let mut failed = false;
+        let mut fold = StreamAggregate::new();
         let mut enqueued = 0u64;
         while let Some((id, chunk)) = input.pop() {
             enqueued += chunk.len() as u64;
-            if failed || cancelled.load(Ordering::Acquire) {
-                let _ = result.push(ChunkOutcome::Skipped);
+            if failure.skips(id) {
                 continue;
             }
-            let outcome = match stream_chunk(&mut lane, id, &chunk, Some(input), &mut record) {
-                Ok(agg) => ChunkOutcome::Stats(agg),
-                Err(error) => {
-                    failed = true;
-                    ChunkOutcome::Failed(error)
-                }
-            };
-            let _ = result.push(outcome);
+            match stream_chunk(&mut lane, id, &chunk, Some(input), &mut record) {
+                Ok(agg) => fold.merge(&agg),
+                Err(e) => failure.fail(id, e),
+            }
         }
         let (metrics, lane, _) = lane.finish(enqueued, 0);
-        (metrics, lane)
+        (metrics, lane, fold)
     }
 }
 
@@ -720,7 +651,7 @@ mod tests {
 
     #[test]
     fn minimal_window_still_completes() {
-        // max_inflight = 1 fully serializes the pipeline; it must still
+        // max_inflight = 1 is under one chunk per worker; it must still
         // finish and still match.
         let engine = Engine::new(AppId::Ipv4Radix);
         let packets = SyntheticTrace::new(TraceProfile::mra(), 3).take_packets(90);
@@ -806,6 +737,41 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, BenchError::BadPacket(_)), "{err:?}");
+    }
+
+    #[test]
+    fn a_panicking_source_reaches_the_caller() {
+        // The reader thread unwinds: it must still close every worker's
+        // queue, and the panic must surface from `run_streaming` as it
+        // does at one thread, not hang the run.
+        struct PanicAt(u64);
+        impl PacketSource for PanicAt {
+            fn next_packet(&mut self) -> Result<Option<Packet>, TraceError> {
+                self.0 += 1;
+                assert!(self.0 < 50, "source fault at packet 50");
+                Ok(Some(
+                    SyntheticTrace::new(TraceProfile::mra(), self.0).next_packet(),
+                ))
+            }
+        }
+        for threads in [1, 3] {
+            let (done, outcome) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let config = StreamConfig {
+                    threads,
+                    chunk_size: 8,
+                    max_inflight: 0,
+                };
+                let run = std::panic::catch_unwind(|| {
+                    Engine::new(AppId::Ipv4Trie).run_streaming(PanicAt(0), Detail::counts(), config)
+                });
+                let _ = done.send(run.is_err());
+            });
+            let panicked = outcome
+                .recv_timeout(Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("threads={threads}: the run hung"));
+            assert!(panicked, "threads={threads}: the source's panic was lost");
+        }
     }
 
     #[test]

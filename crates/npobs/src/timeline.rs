@@ -115,13 +115,15 @@ pub struct Sample {
     pub mem_non_packet: u64,
     /// Items currently queued to the lane (packets left in a batch
     /// worker's shard; chunks waiting in a stream worker's input queue;
-    /// in-flight chunks for the reader). Zero in deterministic samples.
+    /// chunks queued across all workers for the reader). Zero in
+    /// deterministic samples.
     pub queue_depth: u64,
     /// Nanoseconds this lane has spent executing packets so far. Zero in
     /// deterministic samples.
     pub busy_ns: u64,
     /// Nanoseconds the lane has spent blocked on backpressure (the
-    /// reader's semaphore wait) so far. Zero in deterministic samples.
+    /// reader's pushes into full worker queues) so far. Zero in
+    /// deterministic samples.
     pub backpressure_ns: u64,
     /// Flow-memoization cache hits so far. Zero in deterministic samples
     /// (per-worker caches make hits thread-count-dependent).
@@ -168,14 +170,15 @@ impl Counters {
 /// Pipeline stage a [`Span`] covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
-    /// Reader: building + dispatching one chunk (includes the
-    /// backpressure wait for the chunk's permit).
+    /// Reader: dispatching one chunk (includes the backpressure wait for
+    /// room in the worker's queue).
     Read,
     /// Worker: executing one chunk (or, in batch runs, one worker's whole
     /// shard).
     Exec,
-    /// Merger: folding one chunk outcome (or the batch engine's final
-    /// trace-order reassembly).
+    /// Merger: folding one chunk on a one-thread stream, or merging the
+    /// workers' results after join (the threaded stream's folds, the
+    /// batch engine's trace-order reassembly).
     Merge,
 }
 

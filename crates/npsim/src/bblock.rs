@@ -467,8 +467,7 @@ impl BlockTable {
 
     /// Replaces the trace layer's formation parameters, resetting any
     /// warm-up progress and formed traces. The conformance harness runs
-    /// with [`TraceParams::eager`]; [`TraceParams::disabled`] pins the
-    /// table to block-level execution.
+    /// with [`TraceParams::eager`].
     pub fn set_trace_params(&mut self, params: TraceParams) {
         *self.trace.borrow_mut() = TraceState::new(self.map.num_blocks(), params);
     }

@@ -100,15 +100,6 @@ impl TraceParams {
             max_insts: 256,
         }
     }
-
-    /// Parameters that never form a trace, pinning the engine to pure
-    /// block-level execution.
-    pub fn disabled() -> TraceParams {
-        TraceParams {
-            warmup_runs: u64::MAX,
-            ..TraceParams::default()
-        }
-    }
 }
 
 /// Cumulative trace-layer telemetry. Like `Cpu::block_bailouts`, these

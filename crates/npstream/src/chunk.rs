@@ -4,8 +4,8 @@
 //! (worker), appends it to that shard's buffer, and flushes the buffer as
 //! a [`Chunk`] once it reaches the configured chunk size. Flush order is a
 //! pure function of the trace, the sharding, and the chunk size — never of
-//! thread timing — which is what lets the merger fold chunk results in a
-//! deterministic order.
+//! thread timing — so a chunk's flush id can rank failures: the pipeline
+//! reports the failing chunk with the lowest id, whatever the timing.
 //!
 //! Within one shard, chunks carry strictly ascending trace indices, so a
 //! worker that processes its input queue in FIFO order sees its packets in

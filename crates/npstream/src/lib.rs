@@ -7,13 +7,11 @@
 //! function of the *configuration* (threads, chunk size, in-flight
 //! window), never of the packet count:
 //!
-//! * [`BoundedQueue`] — fixed-capacity blocking queues coupling the
-//!   pipeline stages (reader → shard workers → merger) with explicit
-//!   backpressure,
-//! * [`Semaphore`] — the in-flight chunk window: one permit per chunk
-//!   from reader flush to merger fold, capping total buffered packets,
+//! * [`BoundedQueue`] — fixed-capacity blocking queues from the reader
+//!   to each shard worker, with explicit backpressure: their capacity
+//!   caps the packets buffered,
 //! * [`Chunk`] / [`ShardBuffers`] — deterministic chunk building over the
-//!   sharded packet stream, so flush order (and with it the merge order)
+//!   sharded packet stream, so flush order (which ranks a run's failures)
 //!   depends only on trace, sharding, and chunk size — never on thread
 //!   timing,
 //! * [`SourceSpec`] — parsing of `pb stream` source strings (and the
@@ -27,25 +25,20 @@
 //! `packetbench` crate; this crate stays dependency-light (only
 //! `nettrace`) so any consumer can reuse the pipeline pieces.
 //!
-//! ## Why the pipeline cannot deadlock
+//! ## No wait cycle: workers never push
 //!
-//! Producers block only on queue capacity or on the permit semaphore;
-//! permits are released by the merger, which only ever waits on a result
-//! queue whose chunk is already inside the pipeline (its permit is held,
-//! so a worker holds it or will pop it next — no further permit is needed
-//! for it to reach the merger). Workers never block on pushes because
-//! every queue's capacity equals the permit count. The wait graph is
-//! acyclic, so progress is guaranteed for any `max_inflight >= 1`; see
-//! DESIGN.md for the full argument.
+//! The reader blocks only pushing into a full worker queue, and a worker
+//! blocks only popping its empty queue; workers fold their chunks
+//! themselves and push nothing, so the wait graph is acyclic for any
+//! queue capacity. Closing a queue wakes every waiter, so end-of-stream
+//! reaches each worker. See DESIGN.md for the full argument.
 
 pub mod chunk;
 pub mod queue;
 pub mod rss;
-pub mod sem;
 pub mod spec;
 
 pub use chunk::{Chunk, ShardBuffers};
 pub use queue::{BoundedQueue, Closed};
 pub use rss::peak_rss_kb;
-pub use sem::Semaphore;
 pub use spec::{SourceSpec, SpecError};

@@ -5,7 +5,6 @@
 
 use nettrace::synth::{SyntheticTrace, TraceProfile};
 use nettrace::{Limited, Packet};
-use npsim::TraceParams;
 use npstream::SourceSpec;
 use packetbench::analysis::StreamAggregate;
 use packetbench::apps::{App, AppId};
@@ -200,12 +199,10 @@ fn streaming_equals_batch_at_every_thread_count_and_chunk_size() {
 }
 
 #[test]
-fn every_driver_honours_trace_params() {
-    // Trace formation is a setting of every bench the engine builds, so
-    // batch, stream and live must all apply it: disabled, no loop app
-    // forms or enters a trace; by default their hot loops form traces on
-    // every driver, and at one thread every driver counts the same
-    // (formed, trips, guard exits).
+fn every_driver_forms_the_same_traces() {
+    // Every bench the engine builds forms hot traces: the loop apps form
+    // and enter traces on every driver, and at one thread every driver
+    // counts the same (formed, trips, guard exits).
     const N: u64 = 600;
     const LOOP_APPS: [(AppId, [u64; 3]); 3] = [
         (AppId::Ipv4Radix, [15, 93_231, 48_952]),
@@ -223,38 +220,33 @@ fn every_driver_honours_trace_params() {
         ]
     };
     for (id, serial_events) in LOOP_APPS {
-        for params in [Some(TraceParams::disabled()), None] {
-            let engine = Engine::new(id).trace_params(params);
-            for threads in [1, 3] {
-                let batch = engine.run(&packets, Detail::counts(), threads).unwrap();
-                let source = Limited::new(SyntheticTrace::new(TraceProfile::mra(), TRACE_SEED), N);
-                let config = StreamConfig {
-                    threads,
-                    ..StreamConfig::default()
-                };
-                let stream = engine
-                    .run_streaming(source, Detail::counts(), config)
-                    .unwrap();
-                let config = LiveConfig {
-                    threads,
-                    on_full: OnFull::Wait,
-                    ..LiveConfig::default()
-                };
-                let live = engine.run_live(&spec, Detail::counts(), config).unwrap();
-                for (driver, workers) in [
-                    ("batch", &batch.workers),
-                    ("stream", &stream.workers),
-                    ("live", &live.workers),
-                ] {
-                    let events = events(workers);
-                    let context = format!("{id:?} {driver} at {threads} threads, {params:?}");
-                    match params {
-                        Some(_) => assert_eq!(events, [0; 3], "{context}"),
-                        None => assert!(events.iter().all(|&n| n > 0), "{context}: {events:?}"),
-                    }
-                    if params.is_none() && threads == 1 {
-                        assert_eq!(events, serial_events, "{context}");
-                    }
+        let engine = Engine::new(id);
+        for threads in [1, 3] {
+            let batch = engine.run(&packets, Detail::counts(), threads).unwrap();
+            let source = Limited::new(SyntheticTrace::new(TraceProfile::mra(), TRACE_SEED), N);
+            let config = StreamConfig {
+                threads,
+                ..StreamConfig::default()
+            };
+            let stream = engine
+                .run_streaming(source, Detail::counts(), config)
+                .unwrap();
+            let config = LiveConfig {
+                threads,
+                on_full: OnFull::Wait,
+                ..LiveConfig::default()
+            };
+            let live = engine.run_live(&spec, Detail::counts(), config).unwrap();
+            for (driver, workers) in [
+                ("batch", &batch.workers),
+                ("stream", &stream.workers),
+                ("live", &live.workers),
+            ] {
+                let events = events(workers);
+                let context = format!("{id:?} {driver} at {threads} threads");
+                assert!(events.iter().all(|&n| n > 0), "{context}: {events:?}");
+                if threads == 1 {
+                    assert_eq!(events, serial_events, "{context}");
                 }
             }
         }

@@ -53,7 +53,7 @@
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use nettrace::{Limited, PacketSource};
+use nettrace::{Limited, Packet, PacketSource, Timestamp};
 use npobs::timeline::{Sample, Stage, Timeline};
 use npobs::{Log2Histogram, PacketHists};
 use npring::{lane, LaneConsumer, Pacer, RateSpec, RingStats, MAX_BURST};
@@ -305,6 +305,12 @@ impl Engine {
                     let mut pacer = Pacer::new(config.rate);
                     let mut lane = wall_spec.map(|s| LaneTelemetry::new(s, threads, start));
                     let mut global = 0u64;
+                    // Every packet is read into this one scratch packet and
+                    // copied into its lane's mbuf by `offer`. Reading straight
+                    // into the mbuf cannot work: flow classification shards
+                    // by packet content, so the lane is known only after the
+                    // bytes are read.
+                    let mut packet = Packet::from_l3(Timestamp::default(), Vec::new());
                     'produce: for loop_id in 0..loops {
                         let opened = match spec.open() {
                             Ok(source) => source,
@@ -323,8 +329,8 @@ impl Engine {
                             if failure.stopped() {
                                 break 'produce;
                             }
-                            match source.next_packet() {
-                                Ok(Some(packet)) => {
+                            match source.next_into(&mut packet) {
+                                Ok(true) => {
                                     pacer.pace();
                                     let shard = self.shard_of(global as usize, &packet, threads);
                                     let accepted = match config.on_full {
@@ -353,7 +359,7 @@ impl Engine {
                                         }
                                     }
                                 }
-                                Ok(None) => {
+                                Ok(false) => {
                                     if let Some(LaneTelemetry::Wall(_, log)) = &mut lane {
                                         log.record(
                                             Stage::Read,

@@ -22,15 +22,16 @@
 //!
 //! With `threads = 1` there is nothing to overlap, so the reader, the
 //! worker and the merger run inline on the calling thread, as
-//! [`Engine::run`] does at one thread: fill one reused [`Chunk`] of
-//! `chunk_size` packets from the source, process it through the same
-//! per-chunk body the pipeline workers use, merge its aggregate, repeat.
-//! No thread or queue is created, and each packet is freed on the thread
-//! that allocated it. Chunking, chunk ids, the logical timeline, the
-//! wall-clock lanes (reader `threads`, worker 0, merger `threads + 1`)
-//! and error precedence are the pipeline's: a source error abandons the
-//! partly filled chunk unprocessed, exactly as the threaded reader drops
-//! its partial shard buffers.
+//! [`Engine::run`] does at one thread: refill one chunk of `chunk_size`
+//! packet slots from the source in place ([`PacketSource::next_into`]),
+//! process it through the same per-chunk body the pipeline workers use,
+//! merge its aggregate, repeat. No thread or queue is created, and once
+//! every slot has grown to the largest packet it carries, reading a
+//! packet allocates nothing. Chunking, chunk ids, the logical timeline,
+//! the wall-clock lanes (reader `threads`, worker 0, merger
+//! `threads + 1`) and error precedence are the pipeline's: a source
+//! error abandons the partly filled chunk unprocessed, exactly as the
+//! threaded reader drops its partial shard buffers.
 //!
 //! ## Pipeline (threads > 1)
 //!
@@ -83,7 +84,7 @@
 
 use std::time::{Duration, Instant};
 
-use nettrace::{Packet, PacketSource};
+use nettrace::{Packet, PacketSource, Timestamp};
 use npobs::timeline::{Sample, Stage, Timeline};
 use npsim::NullObserver;
 use npstream::{BoundedQueue, Chunk, ShardBuffers};
@@ -269,10 +270,13 @@ impl Engine {
     }
 
     /// The one-thread driver: the reader, the worker and the merger take
-    /// turns on the calling thread over one reused chunk, on the
-    /// pipeline's lanes (worker 0, reader 1, merger 2). A source error
-    /// abandons the partly filled chunk unprocessed, as the threaded
-    /// reader does.
+    /// turns on the calling thread over one chunk of packet slots, on the
+    /// pipeline's lanes (worker 0, reader 1, merger 2). The slots persist
+    /// across chunks and the source refills them in place
+    /// ([`PacketSource::next_into`]), so once each slot has grown to the
+    /// largest packet it carries, reading allocates nothing. A source
+    /// error abandons the partly filled chunk unprocessed, as the
+    /// threaded reader does.
     fn stream_inline<S: PacketSource>(
         &self,
         mut source: S,
@@ -285,9 +289,9 @@ impl Engine {
         let mut lane = Lane::new(self, 0, detail, start, monitor, NullObserver);
         let mut reader_lane = wall_spec.map(|s| LaneTelemetry::new(s, 1, start));
         let mut merger_lane = wall_spec.map(|s| LaneTelemetry::new(s, 2, start));
-        let mut chunk = Chunk {
-            items: Vec::with_capacity(chunk_size),
-        };
+        // Slots grow on demand, so a short trace never holds `chunk_size`
+        // of them; `items[..filled]` is the current chunk.
+        let mut items: Vec<(u64, Packet)> = Vec::new();
         let mut record = PacketRecord::empty();
         let mut aggregate = StreamAggregate::new();
         let mut chunks = 0u64;
@@ -295,11 +299,16 @@ impl Engine {
         let mut eof = false;
         let outcome = 'run: loop {
             let read_began = Instant::now();
-            chunk.items.clear();
-            while !eof && chunk.len() < chunk_size {
-                match source.next_packet() {
-                    Ok(Some(packet)) => {
-                        chunk.items.push((read, packet));
+            let mut filled = 0;
+            while !eof && filled < chunk_size {
+                if filled == items.len() {
+                    items.push((0, Packet::from_l3(Timestamp::default(), Vec::new())));
+                }
+                let (index, packet) = &mut items[filled];
+                match source.next_into(packet) {
+                    Ok(true) => {
+                        *index = read;
+                        filled += 1;
                         read += 1;
                         if let Some(LaneTelemetry::Wall(sampler, _)) = &mut reader_lane {
                             if sampler.on_packet() {
@@ -307,24 +316,25 @@ impl Engine {
                             }
                         }
                     }
-                    Ok(None) => eof = true,
+                    Ok(false) => eof = true,
                     Err(e) => break 'run Err(BenchError::from(e)),
                 }
             }
-            if chunk.is_empty() {
+            if filled == 0 {
                 break Ok(());
             }
             let id = chunks;
             chunks += 1;
-            let chunk_packets = chunk.len() as u64;
+            let chunk_packets = filled as u64;
             if let Some(LaneTelemetry::Wall(_, log)) = &mut reader_lane {
                 log.record(Stage::Read, id, 1, read_began, chunk_packets);
             }
 
-            let chunk_aggregate = match stream_chunk(&mut lane, id, &chunk, None, &mut record) {
-                Ok(agg) => agg,
-                Err(e) => break Err(e),
-            };
+            let chunk_aggregate =
+                match stream_chunk(&mut lane, id, &items[..filled], None, &mut record) {
+                    Ok(agg) => agg,
+                    Err(e) => break Err(e),
+                };
 
             let fold_began = Instant::now();
             aggregate.merge(&chunk_aggregate);
@@ -515,7 +525,7 @@ impl Engine {
             if failure.skips(id) {
                 continue;
             }
-            match stream_chunk(&mut lane, id, &chunk, Some(input), &mut record) {
+            match stream_chunk(&mut lane, id, &chunk.items, Some(input), &mut record) {
                 Ok(agg) => fold.merge(&agg),
                 Err(e) => failure.fail(id, e),
             }
@@ -525,29 +535,30 @@ impl Engine {
     }
 }
 
-/// Runs chunk `id` through `lane` into `record`, one packet at a time,
-/// as one busy period, and returns the chunk's fold: the one per-packet
-/// body of both streaming drivers. The lane's backlog is its `input`
-/// queue (the inline driver has none). Emitted packets are not part of
-/// the aggregate, so they are dropped per chunk and cannot accumulate.
+/// Runs chunk `id`'s `(trace index, packet)` items through `lane` into
+/// `record`, one packet at a time, as one busy period, and returns the
+/// chunk's fold: the one per-packet body of both streaming drivers. The
+/// lane's backlog is its `input` queue (the inline driver has none).
+/// Emitted packets are not part of the aggregate, so they are dropped per
+/// chunk and cannot accumulate.
 fn stream_chunk(
     lane: &mut Lane<'_>,
     id: u64,
-    chunk: &Chunk<Packet>,
+    items: &[(u64, Packet)],
     input: Option<&BoundedQueue<(u64, Chunk<Packet>)>>,
     record: &mut PacketRecord,
 ) -> Result<StreamAggregate, BenchError> {
     let began = lane.begin();
     let mut agg = StreamAggregate::new();
     let backlog = || (input.map_or(0, |input| input.len() as u64), 0);
-    let folded = chunk.items.iter().try_for_each(|(index, packet)| {
+    let folded = items.iter().try_for_each(|(index, packet)| {
         lane.process(*index, packet, record, backlog)?;
         agg.add_record(record);
         Ok(())
     });
     lane.take_output_packets();
     lane.end();
-    lane.span(id, began, chunk.len() as u64);
+    lane.span(id, began, items.len() as u64);
     folded.map(|()| agg)
 }
 

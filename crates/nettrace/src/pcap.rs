@@ -147,9 +147,17 @@ impl<R: Read> PcapReader<R> {
     ///
     /// Fails on I/O errors, truncated records, or insane record lengths.
     pub fn next_packet(&mut self) -> Result<Option<Packet>, TraceError> {
+        let mut packet = Packet::from_l3(Timestamp::default(), Vec::new());
+        Ok(self.read_into(&mut packet)?.then_some(packet))
+    }
+
+    /// Reads the next record into `packet`, reusing its `data` buffer;
+    /// `Ok(false)` at a clean end of file. The one record parser behind
+    /// [`PcapReader::next_packet`] and `PacketSource::next_into`.
+    pub(crate) fn read_into(&mut self, packet: &mut Packet) -> Result<bool, TraceError> {
         let mut header = [0u8; 16];
         if !read_first_byte(&mut self.inner, &mut header)? {
-            return Ok(None);
+            return Ok(false);
         }
         read_exact(&mut self.inner, &mut header[1..], "pcap record header")?;
         let u32_at = |bytes: &[u8; 16], at: usize| -> u32 {
@@ -160,20 +168,18 @@ impl<R: Read> PcapReader<R> {
                 u32::from_le_bytes(raw)
             }
         };
-        let ts = Timestamp::new(u32_at(&header, 0), u32_at(&header, 4));
         let incl_len = u32_at(&header, 8);
-        let orig_len = u32_at(&header, 12);
+        // Bounded before the buffer grows to the record's length.
         if incl_len > MAX_RECORD {
             return Err(TraceError::OversizedRecord { len: incl_len });
         }
-        let mut data = vec![0u8; incl_len as usize];
-        read_exact(&mut self.inner, &mut data, "pcap record body")?;
-        Ok(Some(Packet {
-            ts,
-            orig_len,
-            link: self.link,
-            data,
-        }))
+        packet.data.clear();
+        packet.data.resize(incl_len as usize, 0);
+        read_exact(&mut self.inner, &mut packet.data, "pcap record body")?;
+        packet.ts = Timestamp::new(u32_at(&header, 0), u32_at(&header, 4));
+        packet.orig_len = u32_at(&header, 12);
+        packet.link = self.link;
+        Ok(true)
     }
 }
 

@@ -322,13 +322,9 @@ impl SyntheticTrace {
             let total_len = self.pick_size().max(40);
             let ident = self.ident;
             self.ident = self.ident.wrapping_add(1);
-            self.zipf_packets.push(compose_packet(
-                &self.profile,
-                flow,
-                total_len,
-                ident,
-                Timestamp::new(0, 0),
-            ));
+            let mut packet = Packet::from_l3(Timestamp::new(0, 0), Vec::new());
+            compose_into(&self.profile, flow, total_len, ident, &mut packet);
+            self.zipf_packets.push(packet);
             total += f64::from(rank + 1).powf(-s);
             self.zipf_cdf.push(total);
         }
@@ -416,6 +412,15 @@ impl SyntheticTrace {
 
     /// Generates the next packet.
     pub fn next_packet(&mut self) -> Packet {
+        let mut packet = Packet::from_l3(Timestamp::default(), Vec::new());
+        self.generate_into(&mut packet);
+        packet
+    }
+
+    /// Generates the next packet into `packet`, reusing its `data`
+    /// buffer. The one generator behind [`SyntheticTrace::next_packet`]
+    /// and `PacketSource::next_into`.
+    pub(crate) fn generate_into(&mut self, packet: &mut Packet) {
         // Advance the capture clock.
         self.clock_usec += self.rng.gen_range(1..250);
         if self.clock_usec >= 1_000_000 {
@@ -432,9 +437,9 @@ impl SyntheticTrace {
                 .zipf_cdf
                 .partition_point(|&c| c < u)
                 .min(self.zipf_packets.len() - 1);
-            let mut packet = self.zipf_packets[index].clone();
+            packet.copy_from(&self.zipf_packets[index]);
             packet.ts = ts;
-            return packet;
+            return;
         }
 
         // Choose or create a flow.
@@ -456,7 +461,8 @@ impl SyntheticTrace {
 
         let ident = self.ident;
         self.ident = self.ident.wrapping_add(1);
-        compose_packet(&self.profile, flow, total_len, ident, ts)
+        compose_into(&self.profile, flow, total_len, ident, packet);
+        packet.ts = ts;
     }
 
     /// Generates `n` packets into a vector.
@@ -465,14 +471,15 @@ impl SyntheticTrace {
     }
 }
 
-/// Builds the wire bytes of one packet from a flow's current state.
-fn compose_packet(
+/// Writes the wire bytes of one packet from a flow's current state into
+/// `packet`, reusing its `data` buffer. Every field but `ts` is set.
+fn compose_into(
     profile: &TraceProfile,
     flow: FlowState,
     total_len: u16,
     ident: u16,
-    ts: Timestamp,
-) -> Packet {
+    packet: &mut Packet,
+) {
     let mut header = Ipv4Header {
         version: 4,
         ihl: 5,
@@ -489,7 +496,19 @@ fn compose_packet(
     header.finalize();
 
     let captured = (total_len as usize).min(GEN_SNAP);
-    let mut l3 = vec![0u8; captured];
+    let link_overhead = profile.link.l3_offset();
+    packet.data.clear();
+    packet.data.resize(link_overhead + captured, 0);
+    let (framing, l3) = packet.data.split_at_mut(link_overhead);
+    if profile.link == LinkType::Ethernet {
+        // Locally administered MACs derived from the addresses.
+        framing[0..4].copy_from_slice(&flow.dst.to_be_bytes());
+        framing[4] = 0x02;
+        framing[6..10].copy_from_slice(&flow.src.to_be_bytes());
+        framing[10] = 0x02;
+        framing[12] = 0x08; // ethertype IPv4
+        framing[13] = 0x00;
+    }
     header.write(&mut l3[..20]);
     match flow.protocol {
         proto::TCP if captured >= 40 => {
@@ -530,27 +549,8 @@ fn compose_packet(
         *byte = (i as u8) ^ (flow.seq as u8);
     }
 
-    let mut data = l3;
-    if profile.link == LinkType::Ethernet {
-        let mut framed = vec![0u8; 14 + data.len()];
-        // Locally administered MACs derived from the addresses.
-        framed[0..4].copy_from_slice(&flow.dst.to_be_bytes());
-        framed[4] = 0x02;
-        framed[6..10].copy_from_slice(&flow.src.to_be_bytes());
-        framed[10] = 0x02;
-        framed[12] = 0x08; // ethertype IPv4
-        framed[13] = 0x00;
-        framed[14..].copy_from_slice(&data);
-        data = framed;
-    }
-
-    let link_overhead = profile.link.l3_offset() as u32;
-    Packet {
-        ts,
-        orig_len: u32::from(total_len) + link_overhead,
-        link: profile.link,
-        data,
-    }
+    packet.orig_len = u32::from(total_len) + link_overhead as u32;
+    packet.link = profile.link;
 }
 
 impl Iterator for SyntheticTrace {

@@ -91,21 +91,27 @@ impl<R: Read> TshReader<R> {
     ///
     /// Fails on I/O errors or a trailing partial record.
     pub fn next_packet(&mut self) -> Result<Option<Packet>, TraceError> {
+        let mut packet = Packet::from_l3(Timestamp::default(), Vec::new());
+        Ok(self.read_into(&mut packet)?.then_some(packet))
+    }
+
+    /// Reads the next record into `packet`, reusing its `data` buffer;
+    /// `Ok(false)` at a clean end of file. The one record parser behind
+    /// [`TshReader::next_packet`] and `PacketSource::next_into`.
+    pub(crate) fn read_into(&mut self, packet: &mut Packet) -> Result<bool, TraceError> {
         let mut record = [0u8; RECORD_LEN];
         if !crate::pcap::read_first_byte(&mut self.inner, &mut record)? {
-            return Ok(None);
+            return Ok(false);
         }
         crate::pcap::read_exact(&mut self.inner, &mut record[1..], "TSH record")?;
         let sec = u32::from_be_bytes([record[0], record[1], record[2], record[3]]);
         let usec = u32::from_be_bytes([0, record[5], record[6], record[7]]);
-        let data = record[8..8 + SNAP_LEN].to_vec();
-        let orig_len = u32::from(u16::from_be_bytes([record[10], record[11]]));
-        Ok(Some(Packet {
-            ts: Timestamp::new(sec, usec),
-            orig_len,
-            link: LinkType::Raw,
-            data,
-        }))
+        packet.ts = Timestamp::new(sec, usec);
+        packet.orig_len = u32::from(u16::from_be_bytes([record[10], record[11]]));
+        packet.link = LinkType::Raw;
+        packet.data.clear();
+        packet.data.extend_from_slice(&record[8..8 + SNAP_LEN]);
+        Ok(true)
     }
 
     /// The interface byte of the *next* record is not exposed; TSH

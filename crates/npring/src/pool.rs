@@ -26,18 +26,13 @@ use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use nettrace::{LinkType, Packet, Timestamp};
+use nettrace::{Packet, Timestamp};
 
 use crate::ring::{self, Consumer, Producer};
 
 /// Largest burst a worker dequeues in one call, following the DPDK
 /// l2fwd convention (`MAX_PKT_BURST == 32`).
 pub const MAX_BURST: usize = 32;
-
-/// Initial capacity reserved for each pool slot's packet buffer. Large
-/// enough for the paper traces' snapped captures; bigger packets simply
-/// grow their slot once and keep the larger buffer thereafter.
-const SLOT_DATA_CAPACITY: usize = 2048;
 
 /// One pool slot: the global packet index stamped at offer time plus the
 /// packet bytes themselves.
@@ -106,14 +101,11 @@ pub fn lane(capacity: usize) -> Lane {
     let pool = Arc::new(Pool {
         slots: (0..capacity)
             .map(|_| {
+                // Slots start empty: `Packet::copy_from` grows each one to
+                // the largest packet it carries and keeps that buffer.
                 UnsafeCell::new(Mbuf {
                     index: 0,
-                    packet: Packet {
-                        ts: Timestamp::default(),
-                        orig_len: 0,
-                        link: LinkType::Raw,
-                        data: Vec::with_capacity(SLOT_DATA_CAPACITY),
-                    },
+                    packet: Packet::from_l3(Timestamp::default(), Vec::new()),
                 })
             })
             .collect(),

@@ -229,8 +229,10 @@ impl SourceSpec {
         matches!(self, SourceSpec::Synth { packets: None, .. })
     }
 
-    /// Opens the source for streaming. File-backed sources are buffered;
-    /// nothing beyond one record is ever resident.
+    /// Opens the source for streaming. File-backed sources are buffered
+    /// and read record by record: the source holds its read buffer, never
+    /// the trace, and [`PacketSource::next_into`] reads into the caller's
+    /// packet without allocating one.
     ///
     /// # Errors
     ///

@@ -7,11 +7,12 @@ use std::time::Instant;
 use nettrace::synth::{SyntheticTrace, TraceProfile};
 use nettrace::Packet;
 use packetbench::analysis::{
-    memory_sequence, DelayModel, FlowGraph, InstructionPattern, PipelinePartition, TraceAnalysis,
+    memory_sequence, DelayModel, InstructionPattern, PipelinePartition, TraceAnalysis,
 };
 use packetbench::apps::{App, AppId};
 use packetbench::engine::Engine;
 use packetbench::framework::{Detail, PacketBench};
+use packetbench::profile::{run_profile, ProfileResult, ProfileSpec};
 use packetbench::{report, WorkloadConfig};
 
 /// Seed used for every generated trace: the reports are deterministic.
@@ -116,6 +117,26 @@ pub fn analyze_threaded(
         analysis.add(&block_map, record);
     }
     analysis
+}
+
+/// Profiles `packets` MRA packets through `id`, as `pb profile` does: its
+/// block heat (per-block entries and successor edges) is the same at
+/// every thread count.
+fn profile_mra(
+    id: AppId,
+    packets: usize,
+    config: &WorkloadConfig,
+    threads: usize,
+) -> ProfileResult {
+    let spec = ProfileSpec {
+        packets,
+        seed: TRACE_SEED,
+        threads,
+        config: *config,
+        ..ProfileSpec::new(id, TraceProfile::mra())
+    };
+    count_processed(packets);
+    run_profile(&spec).expect("trace runs")
 }
 
 /// Entry point of the `report` binary: parses `std::env::args` and prints
@@ -360,31 +381,12 @@ pub fn render_report_threaded(counts: &Counts, want: impl Fn(&str) -> bool, thre
     // Processing"), in Graphviz DOT form with the hot path highlighted.
     if want("flowgraph") {
         for id in [AppId::Ipv4Trie, AppId::FlowClass] {
-            let mut bench = bench_for(id, &config);
-            let block_map = bench.block_map().clone();
-            let mut pc_traces: Vec<Vec<u32>> = Vec::new();
-            let trace = SyntheticTrace::new(TraceProfile::mra(), TRACE_SEED)
-                .take_packets(counts.figures.min(100));
-            count_processed(trace.len());
-            bench
-                .run_trace_ref(
-                    &trace,
-                    Detail {
-                        pc_trace: true,
-                        ..Detail::counts()
-                    },
-                    |_, r| pc_traces.push(r.stats.pc_trace.clone()),
-                )
-                .expect("trace runs");
-            let mut graph = FlowGraph::new(&block_map);
-            for pc_trace in &pc_traces {
-                graph.add_trace(bench.app().image().program(), &block_map, pc_trace);
-            }
+            let heat = profile_mra(id, counts.figures.min(100), &config, threads).heat;
             println!(
                 "{}",
-                graph.to_dot(&format!("{} packet-processing dynamics", id.name()))
+                heat.to_dot(&format!("{} packet-processing dynamics", id.name()))
             );
-            println!("# hot path: {:?}", graph.hot_path());
+            println!("# hot path: {:?}", heat.hot_path());
             println!();
         }
     }
@@ -399,29 +401,9 @@ pub fn render_report_threaded(counts: &Counts, want: impl Fn(&str) -> bool, thre
             "Application", "2 stages", "4 stages", "8 stages", "balance@4"
         );
         for id in AppId::WITH_EXTENSIONS {
-            let mut bench = bench_for(id, &config);
-            let block_map = bench.block_map().clone();
-            let mut pc_traces: Vec<Vec<u32>> = Vec::new();
-            let trace = SyntheticTrace::new(TraceProfile::mra(), TRACE_SEED)
-                .take_packets(counts.figures.min(100));
-            count_processed(trace.len());
-            bench
-                .run_trace_ref(
-                    &trace,
-                    Detail {
-                        pc_trace: true,
-                        ..Detail::counts()
-                    },
-                    |_, r| pc_traces.push(r.stats.pc_trace.clone()),
-                )
-                .expect("trace runs");
-            let mut graph = FlowGraph::new(&block_map);
-            for t in &pc_traces {
-                graph.add_trace(bench.app().image().program(), &block_map, t);
-            }
-            let speedup =
-                |stages: usize| PipelinePartition::compute(&block_map, &graph, stages).speedup();
-            let p4 = PipelinePartition::compute(&block_map, &graph, 4);
+            let heat = profile_mra(id, counts.figures.min(100), &config, threads).heat;
+            let speedup = |stages: usize| PipelinePartition::compute(&heat, stages).speedup();
+            let p4 = PipelinePartition::compute(&heat, 4);
             println!(
                 "{:<22} {:>9.2}x {:>9.2}x {:>9.2}x {:>9.0}%",
                 id.name(),

@@ -10,6 +10,7 @@
 
 use std::collections::BTreeMap;
 
+use npobs::BlockHeat;
 use npsim::bblock::BlockMap;
 use npsim::util::{BitSet, ByteCoverage};
 use npsim::{AccessKind, Program, Region};
@@ -638,135 +639,6 @@ mod tests {
     }
 }
 
-/// A weighted control-flow graph over basic blocks, accumulated from
-/// executed PC traces — the paper's "weighted flow graph that illustrates
-/// the dynamics of packet processing" (§I).
-///
-/// Nodes are the static basic blocks; node weights count block
-/// executions, edge weights count observed transitions. Comparing the
-/// graphs of different packets (or reading edge weights as fractions)
-/// shows which paths are the common case and which are the slow path —
-/// the information a designer uses to split an application between fast
-/// and slow path (paper §V-C).
-#[derive(Debug, Clone)]
-pub struct FlowGraph {
-    num_blocks: usize,
-    node_weights: Vec<u64>,
-    edges: BTreeMap<(u32, u32), u64>,
-    traces: u64,
-}
-
-impl FlowGraph {
-    /// Creates an empty graph for an application's block partition.
-    pub fn new(block_map: &BlockMap) -> FlowGraph {
-        FlowGraph {
-            num_blocks: block_map.num_blocks(),
-            node_weights: vec![0; block_map.num_blocks()],
-            edges: BTreeMap::new(),
-            traces: 0,
-        }
-    }
-
-    /// Folds one packet's executed-PC trace in.
-    pub fn add_trace(&mut self, program: &Program, block_map: &BlockMap, pc_trace: &[u32]) {
-        self.traces += 1;
-        let mut prev_block: Option<usize> = None;
-        for &pc in pc_trace {
-            let Some(index) = program.index_of(pc) else {
-                continue;
-            };
-            let block = block_map.block_of(index);
-            let is_leader = block_map.leader(block) == index;
-            match prev_block {
-                Some(p) if p == block && !is_leader => {
-                    // Still inside the same straight-line block.
-                }
-                Some(p) => {
-                    *self.edges.entry((p as u32, block as u32)).or_insert(0) += 1;
-                    self.node_weights[block] += 1;
-                }
-                None => {
-                    self.node_weights[block] += 1;
-                }
-            }
-            prev_block = Some(block);
-        }
-    }
-
-    /// Number of basic blocks (nodes).
-    pub fn num_blocks(&self) -> usize {
-        self.num_blocks
-    }
-
-    /// Number of distinct observed edges.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// How many times block `b` was entered.
-    pub fn node_weight(&self, b: usize) -> u64 {
-        self.node_weights[b]
-    }
-
-    /// Iterates `(from, to, count)` in node order.
-    pub fn edges(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
-        self.edges
-            .iter()
-            .map(|(&(a, b), &w)| (a as usize, b as usize, w))
-    }
-
-    /// The hot path: starting from the entry block, greedily follow the
-    /// heaviest outgoing edge until revisiting a block or running out of
-    /// edges. This is the candidate fast path of the application.
-    pub fn hot_path(&self) -> Vec<usize> {
-        let mut path = vec![0usize];
-        let mut seen = BitSet::new(self.num_blocks.max(1));
-        seen.insert(0);
-        loop {
-            let here = *path.last().expect("path starts non-empty") as u32;
-            let next = self
-                .edges
-                .range((here, 0)..(here + 1, 0))
-                .max_by_key(|(_, &w)| w)
-                .map(|(&(_, to), _)| to as usize);
-            match next {
-                Some(to) if !seen.contains(to) => {
-                    seen.insert(to);
-                    path.push(to);
-                }
-                _ => break,
-            }
-        }
-        path
-    }
-
-    /// Renders the graph in Graphviz DOT syntax, edge labels carrying
-    /// transition counts and the hot path highlighted.
-    pub fn to_dot(&self, title: &str) -> String {
-        use std::fmt::Write as _;
-        let hot: std::collections::HashSet<(usize, usize)> =
-            self.hot_path().windows(2).map(|w| (w[0], w[1])).collect();
-        let mut out = String::new();
-        let _ = writeln!(out, "digraph \"{title}\" {{");
-        let _ = writeln!(out, "  rankdir=TB; node [shape=box];");
-        for (b, &w) in self.node_weights.iter().enumerate() {
-            if w > 0 {
-                let _ = writeln!(out, "  b{b} [label=\"B{b}\\n{w}x\"];");
-            }
-        }
-        for (from, to, w) in self.edges() {
-            let style = if hot.contains(&(from, to)) {
-                " color=red penwidth=2"
-            } else {
-                ""
-            };
-            let _ = writeln!(out, "  b{from} -> b{to} [label=\"{w}\"{style}];");
-        }
-        let _ = writeln!(out, "}}");
-        out
-    }
-}
-
 /// An analytic per-packet processing-delay model, after the paper's
 /// discussion of using PacketBench statistics to estimate packet delay
 /// (§V-D, paper reference 29): delay is a weighted sum of instruction count and
@@ -832,52 +704,41 @@ mod graph_tests {
     use crate::apps::{App, AppId};
     use crate::config::WorkloadConfig;
     use crate::framework::{Detail, PacketBench};
+    use crate::profile::{run_profile, ProfileSpec};
     use nettrace::synth::{SyntheticTrace, TraceProfile};
+    use npobs::BlockHeat;
 
-    fn graph_for(id: AppId, packets: usize) -> (FlowGraph, PacketBench) {
-        let config = WorkloadConfig::small();
-        let app = App::build(id, &config).unwrap();
-        let mut bench = PacketBench::with_config(app, &config).unwrap();
-        let block_map = bench.block_map().clone();
-        let mut graph = FlowGraph::new(&block_map);
-        let mut trace = SyntheticTrace::new(TraceProfile::cos(), 55);
-        for _ in 0..packets {
-            let p = trace.next_packet();
-            let r = bench
-                .process_packet(
-                    &p,
-                    Detail {
-                        pc_trace: true,
-                        ..Detail::counts()
-                    },
-                )
-                .unwrap();
-            graph.add_trace(bench.app().image().program(), &block_map, &r.stats.pc_trace);
-        }
-        (graph, bench)
+    /// The block profile of `packets` COS packets through `id`.
+    fn heat_for(id: AppId, packets: usize) -> BlockHeat {
+        let spec = ProfileSpec {
+            packets,
+            seed: 55,
+            config: WorkloadConfig::small(),
+            ..ProfileSpec::new(id, TraceProfile::cos())
+        };
+        run_profile(&spec).unwrap().heat
     }
 
     #[test]
     fn flow_graph_captures_loops_and_hot_path() {
-        let (graph, _) = graph_for(AppId::Tsa, 20);
-        assert!(graph.num_edges() > 3);
+        let heat = heat_for(AppId::Tsa, 20);
+        assert!(heat.edges().len() > 3);
         // TSA's anonymization loop: some edge has weight >> packet count
         // (16 iterations x 2 addresses x 20 packets).
-        let max_edge = graph.edges().map(|(_, _, w)| w).max().unwrap();
+        let max_edge = heat.edges().values().copied().max().unwrap();
         assert!(max_edge >= 16 * 2 * 20, "max edge {max_edge}");
-        let hot = graph.hot_path();
+        let hot = heat.hot_path();
         assert_eq!(hot[0], 0);
         assert!(hot.len() >= 2);
         // Every consecutive hot-path pair is a real edge.
         for w in hot.windows(2) {
-            assert!(graph.edges().any(|(a, b, _)| (a, b) == (w[0], w[1])));
+            assert!(heat.edges().contains_key(&(w[0] as u32, w[1] as u32)));
         }
     }
 
     #[test]
     fn flow_graph_dot_renders() {
-        let (graph, _) = graph_for(AppId::FlowClass, 10);
-        let dot = graph.to_dot("flow");
+        let dot = heat_for(AppId::FlowClass, 10).to_dot("flow");
         assert!(dot.starts_with("digraph"));
         assert!(dot.contains("->"));
         assert!(dot.contains("color=red"), "hot path highlighted");
@@ -886,10 +747,14 @@ mod graph_tests {
 
     #[test]
     fn node_weights_count_entries() {
-        let (graph, bench) = graph_for(AppId::Ipv4Trie, 5);
+        let heat = heat_for(AppId::Ipv4Trie, 5);
         // The entry block is entered exactly once per packet.
-        assert_eq!(graph.node_weight(0), 5);
-        assert_eq!(graph.num_blocks(), bench.block_map().num_blocks());
+        assert_eq!(heat.entries()[0], 5);
+        let app = App::build(AppId::Ipv4Trie, &WorkloadConfig::small()).unwrap();
+        assert_eq!(
+            heat.num_blocks(),
+            BlockMap::build(app.image().program()).num_blocks()
+        );
     }
 
     #[test]
@@ -944,8 +809,8 @@ mod graph_tests {
 /// processing engines" design axis (§V-D, paper reference 31, pipelining vs.
 /// multiprocessing).
 ///
-/// Stage load is measured in *executed instructions over the analyzed
-/// trace* (block entries x block length, from a [`FlowGraph`]); the
+/// Stage load is measured in *executed instructions over the profiled
+/// trace* (block entries x block length, from a [`BlockHeat`]); the
 /// partition minimizes the maximum stage load over all contiguous splits,
 /// which bounds the pipeline's throughput.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -964,10 +829,13 @@ impl PipelinePartition {
     /// # Panics
     ///
     /// Panics if `stages` is zero.
-    pub fn compute(block_map: &BlockMap, graph: &FlowGraph, stages: usize) -> PipelinePartition {
+    pub fn compute(heat: &BlockHeat, stages: usize) -> PipelinePartition {
         assert!(stages > 0, "need at least one stage");
-        let weights: Vec<u64> = (0..block_map.num_blocks())
-            .map(|b| graph.node_weight(b) * block_map.block_range(b).len() as u64)
+        let weights: Vec<u64> = heat
+            .entries()
+            .iter()
+            .zip(heat.lengths())
+            .map(|(entries, length)| entries * length)
             .collect();
         let total: u64 = weights.iter().sum();
         let heaviest = weights.iter().copied().max().unwrap_or(0);
@@ -1048,42 +916,26 @@ fn stages_needed(weights: &[u64], cap: u64) -> usize {
 #[cfg(test)]
 mod partition_tests {
     use super::*;
-    use crate::apps::{App, AppId};
+    use crate::apps::AppId;
     use crate::config::WorkloadConfig;
-    use crate::framework::{Detail, PacketBench};
-    use nettrace::synth::{SyntheticTrace, TraceProfile};
+    use crate::profile::{run_profile, ProfileSpec};
+    use nettrace::synth::TraceProfile;
 
-    fn graph_and_blocks(id: AppId) -> (FlowGraph, BlockMap) {
-        let config = WorkloadConfig::small();
-        let app = App::build(id, &config).unwrap();
-        let mut bench = PacketBench::with_config(app, &config).unwrap();
-        let block_map = bench.block_map().clone();
-        let mut traces = Vec::new();
-        let mut trace = SyntheticTrace::new(TraceProfile::mra(), 77);
-        for _ in 0..30 {
-            let p = trace.next_packet();
-            let r = bench
-                .process_packet(
-                    &p,
-                    Detail {
-                        pc_trace: true,
-                        ..Detail::counts()
-                    },
-                )
-                .unwrap();
-            traces.push(r.stats.pc_trace);
-        }
-        let mut graph = FlowGraph::new(&block_map);
-        for t in &traces {
-            graph.add_trace(bench.app().image().program(), &block_map, t);
-        }
-        (graph, block_map)
+    /// The block profile of 30 MRA packets through `id`.
+    fn heat_for(id: AppId) -> BlockHeat {
+        let spec = ProfileSpec {
+            packets: 30,
+            seed: 77,
+            config: WorkloadConfig::small(),
+            ..ProfileSpec::new(id, TraceProfile::mra())
+        };
+        run_profile(&spec).unwrap().heat
     }
 
     #[test]
     fn single_stage_is_identity() {
-        let (graph, blocks) = graph_and_blocks(AppId::Ipv4Trie);
-        let p = PipelinePartition::compute(&blocks, &graph, 1);
+        let heat = heat_for(AppId::Ipv4Trie);
+        let p = PipelinePartition::compute(&heat, 1);
         assert_eq!(p.stages.len(), 1);
         assert_eq!(p.bottleneck(), p.total);
         assert!((p.speedup() - 1.0).abs() < 1e-9);
@@ -1091,10 +943,10 @@ mod partition_tests {
 
     #[test]
     fn more_stages_never_hurt() {
-        let (graph, blocks) = graph_and_blocks(AppId::Tsa);
+        let heat = heat_for(AppId::Tsa);
         let mut last = 0.0f64;
         for stages in [1usize, 2, 4, 8] {
-            let p = PipelinePartition::compute(&blocks, &graph, stages);
+            let p = PipelinePartition::compute(&heat, stages);
             assert!(p.stages.len() <= stages);
             assert!(p.speedup() >= last - 1e-9, "{stages} stages");
             assert!(p.speedup() <= stages as f64 + 1e-9);
@@ -1104,19 +956,19 @@ mod partition_tests {
 
     #[test]
     fn stages_cover_all_blocks_contiguously() {
-        let (graph, blocks) = graph_and_blocks(AppId::FlowClass);
-        let p = PipelinePartition::compute(&blocks, &graph, 4);
+        let heat = heat_for(AppId::FlowClass);
+        let p = PipelinePartition::compute(&heat, 4);
         let mut next = 0usize;
         for (range, load) in &p.stages {
             assert_eq!(range.start, next);
             next = range.end;
             let expected: u64 = range
                 .clone()
-                .map(|b| graph.node_weight(b) * blocks.block_range(b).len() as u64)
+                .map(|b| heat.entries()[b] * heat.lengths()[b])
                 .sum();
             assert_eq!(*load, expected);
         }
-        assert_eq!(next, blocks.num_blocks());
+        assert_eq!(next, heat.num_blocks());
         assert!(p.balance() > 0.0 && p.balance() <= 1.0);
     }
 
@@ -1124,8 +976,8 @@ mod partition_tests {
     fn loop_heavy_apps_have_limited_pipeline_speedup() {
         // TSA's weight is concentrated in the anonymization loop block, so
         // a pipeline cannot split it: speedup at 4 stages stays well below 4.
-        let (graph, blocks) = graph_and_blocks(AppId::Tsa);
-        let p = PipelinePartition::compute(&blocks, &graph, 4);
+        let heat = heat_for(AppId::Tsa);
+        let p = PipelinePartition::compute(&heat, 4);
         assert!(
             p.speedup() < 3.0,
             "loop concentration should limit speedup, got {}",

@@ -6,24 +6,22 @@
 //! pb disasm --app <app>            disassemble an application
 //! pb run --app <app> [--trace <profile> | --pcap <file>] [-n <packets>]
 //!        [--verify] [--uarch] [--seed <n>] [--threads <n>] [--progress]
-//!        [--watch] [--memo on|off|check] [--trace-out <f>]
+//!        [--memo on|off|check] [--trace-out <f>]
 //!        [--timeline-out <f>] [--timeline-interval <n>] [--deterministic]
 //! pb stream <app> <source> [--threads <n>] [--chunk-size <n>]
 //!           [--max-inflight <n>] [-n <packets>] [--verify] [--uarch]
-//!           [--progress] [--watch] [--memo on|off|check]
+//!           [--progress] [--memo on|off|check]
 //!           [--trace-out <f>] [--timeline-out <f>] [--timeline-interval <n>]
 //!           [--deterministic]
 //! pb live <app> <source> [--threads <n>] [--ring <slots>] [--burst <n>]
 //!         [--rate <pps>|max] [--loops <n>] [--on-full drop|wait]
-//!         [-n <packets>] [--verify] [--uarch] [--progress] [--watch]
+//!         [-n <packets>] [--verify] [--uarch] [--progress]
 //!         [--memo on|off|check] [--metrics-out <f>] [--metrics-format json|prom]
 //!         [--trace-out <f>] [--timeline-out <f>] [--timeline-interval <n>]
 //!         [--deterministic]
 //! pb profile <app> <trace> [-n <packets>] [--seed <n>] [--threads <n>]
-//!           [--progress]
-//! pb report --app <app> (--metrics json|prom | --timeline json|csv)
-//!           [--trace <profile>] [-n <packets>] [--seed <n>] [--threads <n>]
-//!           [--out <file>] [--deterministic] [--timeline-interval <n>]
+//!           [--progress] [--metrics-out <f> [--metrics-format json|prom]
+//!           [--deterministic]]
 //! pb conform [--corpus <n>] [--seed <n>] [--threads <n>] [--repro <file.s>]
 //! pb anonymize <in.pcap> <out.pcap> [--seed <n>]
 //! ```
@@ -121,7 +119,7 @@ type Subcommand = (
 );
 
 fn subcommand(name: &str) -> Option<Subcommand> {
-    const DRIVER_FLAGS: &str = "verify uarch progress watch deterministic";
+    const DRIVER_FLAGS: &str = "verify uarch progress deterministic";
     Some(match name {
         "apps" => (|_| cmd_apps(), "", ""),
         "traces" => (|_| cmd_traces(), "", ""),
@@ -142,11 +140,10 @@ fn subcommand(name: &str) -> Option<Subcommand> {
              trace-out timeline-out timeline-interval",
             DRIVER_FLAGS,
         ),
-        "profile" => (cmd_profile, "n seed threads", "progress"),
-        "report" => (
-            cmd_report,
-            "app metrics timeline trace n seed threads out timeline-interval",
-            "deterministic",
+        "profile" => (
+            cmd_profile,
+            "n seed threads metrics-out metrics-format",
+            "progress deterministic",
         ),
         "conform" => (cmd_conform, "corpus seed threads repro", ""),
         "anonymize" => (cmd_anonymize, "seed", ""),
@@ -214,23 +211,21 @@ USAGE:
   pb disasm --app <app>            disassemble an application
   pb run --app <app> [--trace <profile> | --pcap <file>] [-n <packets>]
          [--verify] [--uarch] [--seed <n>] [--threads <n>] [--progress]
-         [--watch] [--memo on|off|check] [--trace-out <file>]
+         [--memo on|off|check] [--trace-out <file>]
          [--timeline-out <file>] [--timeline-interval <n>] [--deterministic]
   pb stream <app> <source> [--threads <n>] [--chunk-size <n>]
             [--max-inflight <n>] [-n <packets>] [--verify] [--uarch]
-            [--progress] [--watch] [--memo on|off|check] [--trace-out <file>]
+            [--progress] [--memo on|off|check] [--trace-out <file>]
             [--timeline-out <file>] [--timeline-interval <n>] [--deterministic]
   pb live <app> <source> [--threads <n>] [--ring <slots>] [--burst <n>]
           [--rate <pps>|max] [--loops <n>] [--on-full drop|wait]
-          [-n <packets>] [--verify] [--uarch] [--progress] [--watch]
+          [-n <packets>] [--verify] [--uarch] [--progress]
           [--memo on|off|check] [--metrics-out <file>]
           [--metrics-format json|prom] [--trace-out <file>]
           [--timeline-out <file>] [--timeline-interval <n>] [--deterministic]
   pb profile <app> <trace> [-n <packets>] [--seed <n>] [--threads <n>]
-             [--progress]
-  pb report --app <app> (--metrics json|prom | --timeline json|csv)
-            [--trace <profile>] [-n <packets>] [--seed <n>] [--threads <n>]
-            [--out <file>] [--deterministic] [--timeline-interval <n>]
+             [--progress] [--metrics-out <file> [--metrics-format json|prom]
+             [--deterministic]]
   pb conform [--corpus <n>] [--seed <n>] [--threads <n>] [--repro <file.s>]
   pb anonymize <in.pcap> <out.pcap> [--seed <n>]
 
@@ -265,7 +260,11 @@ histograms (instructions, packet vs. non-packet memory, basic blocks)
 plus a basic-block heat map, the hottest block-successor edges, and
 dominant-successor chains, rendered as tables and flamegraph-collapsed
 lines. Output is byte-identical at every thread count for a fixed
-app/trace/seed.
+app/trace/seed. --metrics-out writes the same profile as a stamped JSON
+document (--metrics-format prom: Prometheus text format) carrying the
+schema version, git commit and an ISO-8601 timestamp; --deterministic
+pins the stamp and zeroes timing fields so the document can be diffed
+against fixtures.
 
 Unobserved counts-only runs (`pb run`, `stream`, `live`) execute on the
 hot-trace engine: after a short warm-up the simulator chains hot
@@ -273,13 +272,8 @@ superblocks into fused traces (one combined statistics delta per trip,
 one guard per internal branch), bit-identical to every other path.
 Per-worker trace-cache counters (traces formed, trips, guard exits,
 budget declines) ride in the exported metrics document (`pb_trace_*`)
-and on the --watch line; profiled runs stay block-granular so heat maps
-are unchanged.
-
-`pb report --metrics` exports the same profile as a stamped JSON or
-Prometheus text-format document (schema version, git commit, ISO-8601
-timestamp); --deterministic pins the stamp and zeroes timing fields so
-the output can be diffed against fixtures.
+and on the --progress line; profiled runs stay block-granular so heat
+maps are unchanged.
 
 In-flight telemetry (run and stream): --timeline-out samples per-lane
 counters (packets, pps, queue depth, backpressure wait, busy time, memo
@@ -287,12 +281,12 @@ traffic, superblock bail-outs) into a stamped JSON time series;
 --trace-out writes the same run as a Chrome trace-event file with one
 named track per pipeline lane (workers, reader, merger) — load it in
 ui.perfetto.dev or chrome://tracing. --timeline-interval sets the
-sample spacing in packets. --watch redraws a live packets/pps status
-line in place on stderr. With --deterministic, samples are keyed on
-logical time (packets retired in trace order) instead of the wall
-clock, so the timeline is byte-identical at any thread count;
-`pb report --timeline json|csv` exports that same series from a
-profile run. Runs without these flags carry zero telemetry cost.
+sample spacing in packets. --progress refreshes a packets/pps status
+line on stderr about once a second, in place on a terminal. With
+--deterministic, samples are keyed on logical time (packets retired in
+trace order) instead of the wall clock, so the timeline is
+byte-identical at any thread count. Runs without these flags carry
+zero telemetry cost.
 
 `--memo on` enables per-worker flow memoization: results for repeated
 flows are answered from a cache keyed on the header bytes the
@@ -381,7 +375,7 @@ fn memo_from(args: &Args) -> Result<MemoMode, CliError> {
 /// why the cache stayed off. Printed only when memoization was requested,
 /// so default runs are unchanged. Routed through the run's shared
 /// [`StatusLine`] so it cannot interleave with an in-flight `--progress`
-/// or `--watch` line.
+/// line.
 fn report_memo(memo: MemoMode, workers: &[packetbench::WorkerMetrics], status: &StatusLine) {
     if memo == MemoMode::Off {
         return;
@@ -575,7 +569,6 @@ fn stream_and_report(
     let engine = Engine::with_config(id, WorkloadConfig::default())
         .verify(verify)
         .progress(args.flag("progress"))
-        .watch(args.flag("watch"))
         .status(Arc::clone(&status))
         .timeline(tl.spec)
         .memo(memo);
@@ -691,18 +684,7 @@ fn cmd_live(args: &Args) -> Result<(), CliError> {
             None => return usage_err(format!("bad --on-full value `{v}` (drop|wait)")),
         },
     };
-    let metrics_out = args.options.get("metrics-out").cloned();
-    let metrics_fmt = match args.options.get("metrics-format").map(String::as_str) {
-        None => "json",
-        Some("json") => "json",
-        Some("prom") => "prom",
-        Some(other) => {
-            return usage_err(format!("bad --metrics-format value `{other}` (json|prom)"))
-        }
-    };
-    if metrics_out.is_none() && args.options.contains_key("metrics-format") {
-        return usage_err("--metrics-format needs --metrics-out");
-    }
+    let metrics_out = MetricsOut::parse(args)?;
 
     let spec = SourceSpec::parse(source_arg).map_err(|e| CliError::Usage(e.to_string()))?;
     let cap: Option<u64> = match args.options.get("n") {
@@ -725,7 +707,6 @@ fn cmd_live(args: &Args) -> Result<(), CliError> {
     let engine = Engine::with_config(id, WorkloadConfig::default())
         .verify(verify)
         .progress(args.flag("progress"))
-        .watch(args.flag("watch"))
         .status(Arc::clone(&status))
         .timeline(tl.spec)
         .memo(memo);
@@ -778,20 +759,55 @@ fn cmd_live(args: &Args) -> Result<(), CliError> {
     );
     report_memo(memo, &run.workers, &status);
     write_timeline_outputs(&tl, run.timeline.as_ref(), id, source_arg)?;
-    if let Some(path) = metrics_out {
-        let doc = live_metrics_doc(id, source_arg, &run);
-        let body = match metrics_fmt {
-            "json" => doc.to_json(),
-            _ => doc.to_prometheus(),
-        };
-        std::fs::write(&path, body).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("pb: wrote {metrics_fmt} metrics to {path}");
+    if let Some(out) = metrics_out {
+        out.write(&live_metrics_doc(id, source_arg, &run))?;
     }
     Ok(())
 }
 
+/// `--metrics-out <file> [--metrics-format json|prom]` on `pb live` and
+/// `pb profile`: where to write the stamped metrics document, and how.
+struct MetricsOut {
+    path: String,
+    format: &'static str,
+}
+
+impl MetricsOut {
+    /// Parses the option pair; `None` when `--metrics-out` is absent.
+    fn parse(args: &Args) -> Result<Option<MetricsOut>, CliError> {
+        let format = match args.options.get("metrics-format").map(String::as_str) {
+            None | Some("json") => "json",
+            Some("prom") => "prom",
+            Some(other) => {
+                return usage_err(format!("bad --metrics-format value `{other}` (json|prom)"))
+            }
+        };
+        match args.options.get("metrics-out") {
+            Some(path) => Ok(Some(MetricsOut {
+                path: path.clone(),
+                format,
+            })),
+            None if args.options.contains_key("metrics-format") => {
+                usage_err("--metrics-format needs --metrics-out")
+            }
+            None => Ok(None),
+        }
+    }
+
+    fn write(&self, doc: &npobs::MetricsDoc) -> Result<(), CliError> {
+        let body = match self.format {
+            "json" => doc.to_json(),
+            _ => doc.to_prometheus(),
+        };
+        let path = &self.path;
+        std::fs::write(path, body).map_err(|e| format!("{path}: {e}"))?;
+        eprintln!("pb: wrote {} metrics to {path}", self.format);
+        Ok(())
+    }
+}
+
 /// The stamped metrics document for a live run: the shared worker stats
-/// plus the ring section (`pb report` exports carry `"ring": null`).
+/// plus the ring section (`pb profile` exports carry `"ring": null`).
 fn live_metrics_doc(id: AppId, source: &str, run: &packetbench::LiveRun) -> npobs::MetricsDoc {
     npobs::MetricsDoc {
         stamp: Stamp::new(npobs::stamp::METRICS_SCHEMA_VERSION),
@@ -817,16 +833,6 @@ fn live_metrics_doc(id: AppId, source: &str, run: &packetbench::LiveRun) -> npob
     }
 }
 
-/// Builds a [`ProfileSpec`] from the shared profile/report options.
-fn profile_spec(args: &Args, app: AppId, trace_name: &str) -> Result<ProfileSpec, CliError> {
-    let mut spec = ProfileSpec::new(app, trace_profile(trace_name)?);
-    spec.packets = args.parse_opt("n", 1000)?;
-    spec.seed = args.parse_opt("seed", 42)?;
-    spec.threads = args.parse_opt("threads", 1)?;
-    spec.progress = args.flag("progress");
-    Ok(spec)
-}
-
 fn cmd_profile(args: &Args) -> Result<(), CliError> {
     let [app_name, trace_name] = args.positional.as_slice() else {
         return usage_err("usage: pb profile <app> <trace>");
@@ -834,84 +840,20 @@ fn cmd_profile(args: &Args) -> Result<(), CliError> {
     let Some(id) = AppId::by_name(app_name) else {
         return usage_err(format!("unknown application `{app_name}`"));
     };
-    let spec = profile_spec(args, id, trace_name)?;
+    let metrics_out = MetricsOut::parse(args)?;
+    let deterministic = args.flag("deterministic");
+    if deterministic && metrics_out.is_none() {
+        return usage_err("--deterministic needs --metrics-out");
+    }
+    let mut spec = ProfileSpec::new(id, trace_profile(trace_name)?);
+    spec.packets = args.parse_opt("n", 1000)?;
+    spec.seed = args.parse_opt("seed", 42)?;
+    spec.threads = args.parse_opt("threads", 1)?;
+    spec.progress = args.flag("progress");
     let result = run_profile(&spec).map_err(|e| e.to_string())?;
     print!("{}", result.render());
-    Ok(())
-}
-
-fn cmd_report(args: &Args) -> Result<(), CliError> {
-    let id = app_from(args)?;
-    let metrics_fmt = match args.options.get("metrics").map(String::as_str) {
-        Some("json") => Some("json"),
-        Some("prom") => Some("prom"),
-        Some(other) => return usage_err(format!("bad --metrics value `{other}` (json|prom)")),
-        None => None,
-    };
-    let timeline_fmt = match args.options.get("timeline").map(String::as_str) {
-        Some("json") => Some("json"),
-        Some("csv") => Some("csv"),
-        Some(other) => return usage_err(format!("bad --timeline value `{other}` (json|csv)")),
-        None => None,
-    };
-    let (format, want_timeline) = match (metrics_fmt, timeline_fmt) {
-        (Some(_), Some(_)) => {
-            return usage_err("choose one of --metrics and --timeline per invocation")
-        }
-        (Some(f), None) => (f, false),
-        (None, Some(f)) => (f, true),
-        (None, None) => return usage_err("missing --metrics json|prom or --timeline json|csv"),
-    };
-    let trace_name = args
-        .options
-        .get("trace")
-        .map(String::as_str)
-        .unwrap_or("MRA");
-    let deterministic = args.flag("deterministic");
-    let mut spec = profile_spec(args, id, trace_name)?;
-    if want_timeline {
-        let interval: u64 = args.parse_opt("timeline-interval", 0)?;
-        let base = if deterministic {
-            TimelineSpec::logical()
-        } else {
-            TimelineSpec::wall()
-        };
-        spec.timeline = Some(if interval > 0 {
-            base.every(interval)
-        } else {
-            base
-        });
-    }
-    let result = run_profile(&spec).map_err(|e| e.to_string())?;
-    let body = if want_timeline {
-        let timeline = result
-            .run
-            .timeline
-            .as_ref()
-            .expect("profile ran with a timeline spec");
-        let stamp = if deterministic {
-            Stamp::deterministic(TIMELINE_SCHEMA_VERSION)
-        } else {
-            Stamp::new(TIMELINE_SCHEMA_VERSION)
-        };
-        match format {
-            "json" => timeline.to_json(&stamp, id.slug(), &result.trace_name),
-            _ => timeline.to_csv(&stamp, id.slug(), &result.trace_name),
-        }
-    } else {
-        let doc = result.metrics_doc(deterministic);
-        match format {
-            "json" => doc.to_json(),
-            _ => doc.to_prometheus(),
-        }
-    };
-    let what = if want_timeline { "timeline" } else { "metrics" };
-    match args.options.get("out") {
-        Some(path) => {
-            std::fs::write(path, &body).map_err(|e| format!("{path}: {e}"))?;
-            eprintln!("pb: wrote {format} {what} to {path}");
-        }
-        None => print!("{body}"),
+    if let Some(out) = metrics_out {
+        out.write(&result.metrics_doc(deterministic))?;
     }
     Ok(())
 }

@@ -53,7 +53,6 @@ pub struct Engine {
     pub(crate) progress: bool,
     pub(crate) memo: MemoMode,
     pub(crate) timeline: Option<TimelineSpec>,
-    pub(crate) watch: bool,
     pub(crate) status: Option<Arc<StatusLine>>,
 }
 
@@ -72,7 +71,6 @@ impl Engine {
             progress: false,
             memo: MemoMode::Off,
             timeline: None,
-            watch: false,
             status: None,
         }
     }
@@ -109,15 +107,7 @@ impl Engine {
         self
     }
 
-    /// Enables the live `--watch` status refresh on stderr: the
-    /// `--progress` status line (packets, percent when known, pps, memo,
-    /// trace and drop counters) redrawn in place about once a second.
-    pub fn watch(mut self, watch: bool) -> Engine {
-        self.watch = watch;
-        self
-    }
-
-    /// Shares a [`StatusLine`] with the engine so its progress/watch
+    /// Shares a [`StatusLine`] with the engine so its progress
     /// output serializes with the caller's other stderr lines (the memo
     /// summary, for one) instead of interleaving mid-line. Without this
     /// the engine creates a private writer per run.

@@ -9,7 +9,7 @@
 //! * the worker's [`PacketBench`], built on its first packet in the only
 //!   place any driver builds one, with the engine's memo mode;
 //! * its timeline lane and sampler counters;
-//! * its `--progress`/`--watch` counter deltas;
+//! * its `--progress` counter deltas;
 //! * its packet and busy-time counts.
 //!
 //! Drivers differ only in transport and in what they keep of each record
@@ -94,11 +94,11 @@ impl MonitorCounters {
 }
 
 impl Engine {
-    /// Runs a driver's `body` under the `--progress`/`--watch` monitor:
-    /// `body` gets the shared counters while one monitor thread prints
-    /// the status line about once a second, as an in-place refresh under
-    /// `--watch` and as plain lines under `--progress`. `total` is the
-    /// packet count when the driver knows it. With neither flag set,
+    /// Runs a driver's `body` under the `--progress` monitor: `body` gets
+    /// the shared counters while one monitor thread refreshes the status
+    /// line about once a second ([`npobs::StatusLine::refresh`]: redrawn in
+    /// place on a terminal, one plain line each on a pipe). `total` is
+    /// the packet count when the driver knows it. With progress off,
     /// `body` gets no counters and no thread is spawned.
     pub(crate) fn monitored<R>(
         &self,
@@ -106,7 +106,7 @@ impl Engine {
         start: Instant,
         body: impl FnOnce(Option<&MonitorCounters>) -> R,
     ) -> R {
-        if !(self.progress || self.watch) {
+        if !self.progress {
             return body(None);
         }
         let counters = MonitorCounters::default();
@@ -119,15 +119,11 @@ impl Engine {
                     if done.load(Ordering::Acquire) {
                         break;
                     }
-                    match counters.status(total, start) {
-                        Some(line) if self.watch => status.refresh(&line),
-                        Some(line) => status.emit(&line),
-                        None => {}
+                    if let Some(line) = counters.status(total, start) {
+                        status.refresh(&line);
                     }
                 }
-                if self.watch {
-                    status.finish_refresh();
-                }
+                status.finish_refresh();
             });
             // Stops the monitor even when `body` unwinds, so the scope's
             // implicit join cannot wait on it forever.

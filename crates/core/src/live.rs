@@ -535,12 +535,7 @@ impl Engine {
                     }
                     fold.aggregate.add_record(&record);
                     if let Some(map) = lane.block_map().filter(|_| collect_hists) {
-                        fold.hists.record(
-                            record.stats.instret,
-                            record.stats.mem.packet_total(),
-                            record.stats.mem.non_packet_total(),
-                            map.blocks_executed(&record.stats.executed).count() as u64,
-                        );
+                        fold.hists.record_run(&record.stats, map);
                     }
                 }
                 // Emitted packets are not part of the aggregate; drop

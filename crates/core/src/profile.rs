@@ -47,10 +47,6 @@ pub struct ProfileSpec {
     pub config: WorkloadConfig,
     /// Emit the engine's periodic progress line on stderr.
     pub progress: bool,
-    /// In-flight telemetry: sample the run into a timeline (and span
-    /// log), surfaced on [`ProfileResult`]'s engine run. `None` costs
-    /// nothing.
-    pub timeline: Option<npobs::TimelineSpec>,
 }
 
 impl ProfileSpec {
@@ -64,7 +60,6 @@ impl ProfileSpec {
             threads: 1,
             config: WorkloadConfig::default(),
             progress: false,
-            timeline: None,
         }
     }
 }
@@ -111,9 +106,7 @@ pub fn profile_packets(
     let app = App::build(spec.app, &spec.config)?;
     let block_map = BlockMap::build(app.image().program());
 
-    let engine = Engine::with_config(spec.app, spec.config)
-        .progress(spec.progress)
-        .timeline(spec.timeline);
+    let engine = Engine::with_config(spec.app, spec.config).progress(spec.progress);
     let (run, observers) = engine.run_observed(packets, Detail::counts(), spec.threads, || {
         HeatObserver::new(&block_map)
     })?;
@@ -128,12 +121,7 @@ pub fn profile_packets(
 
     let mut hists = PacketHists::new();
     for record in &run.records {
-        hists.record(
-            record.stats.instret,
-            record.stats.mem.packet_total(),
-            record.stats.mem.non_packet_total(),
-            block_map.blocks_executed(&record.stats.executed).count() as u64,
-        );
+        hists.record_run(&record.stats, &block_map);
     }
 
     Ok(ProfileResult {
@@ -276,20 +264,6 @@ mod tests {
         assert!(serial.contains("instructions_per_packet"));
         assert!(serial.contains("basic-block heat"));
         assert!(serial.contains("trie;"));
-    }
-
-    #[test]
-    fn profile_timeline_rides_along() {
-        let mut s = spec(2);
-        s.timeline = Some(npobs::TimelineSpec::logical());
-        let result = run_profile(&s).unwrap();
-        let timeline = result.run.timeline.as_ref().expect("timeline requested");
-        assert!(timeline.deterministic);
-        assert_eq!(
-            timeline.samples.last().map(|s| s.packets),
-            Some(60),
-            "cumulative logical samples end at the packet count"
-        );
     }
 
     #[test]

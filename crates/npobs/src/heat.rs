@@ -10,13 +10,15 @@
 //!
 //! Worker-private observers merge additively, so profiles are
 //! bit-identical at every engine thread count. [`BlockHeat`] renders the
-//! result as a fixed-width table or as flamegraph-collapsed text
+//! result as a fixed-width table, as flamegraph-collapsed text
 //! (`app;label count` lines, one frame per block) keyed by the same
-//! `L<n>` labels `pb disasm` prints.
+//! `L<n>` labels `pb disasm` prints, or as the weighted flow graph in
+//! Graphviz DOT form ([`BlockHeat::to_dot`]).
 
 use npsim::bblock::BlockMap;
 use npsim::isa::Inst;
 use npsim::obs::Observer;
+use npsim::util::BitSet;
 use npsim::Program;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -257,6 +259,65 @@ impl BlockHeat {
     /// Block-to-successor transition counts, keyed `(from, to)`.
     pub fn edges(&self) -> &BTreeMap<(u32, u32), u64> {
         &self.edges
+    }
+
+    /// Per-block static lengths in instructions.
+    pub fn lengths(&self) -> &[u64] {
+        &self.lengths
+    }
+
+    /// The hot path: starting from the entry block, greedily follow the
+    /// heaviest outgoing edge until revisiting a block or running out of
+    /// edges. This is the candidate fast path of the application.
+    pub fn hot_path(&self) -> Vec<usize> {
+        let mut path = vec![0usize];
+        let mut seen = BitSet::new(self.num_blocks().max(1));
+        seen.insert(0);
+        loop {
+            let here = *path.last().expect("path starts non-empty") as u32;
+            let next = self
+                .edges
+                .range((here, 0)..(here + 1, 0))
+                .max_by_key(|(_, &w)| w)
+                .map(|(&(_, to), _)| to as usize);
+            match next {
+                Some(to) if !seen.contains(to) => {
+                    seen.insert(to);
+                    path.push(to);
+                }
+                _ => break,
+            }
+        }
+        path
+    }
+
+    /// Renders the weighted flow graph of packet processing (paper §I)
+    /// in Graphviz DOT syntax: one node per entered block weighted by
+    /// its entries, edge labels carrying transition counts, and the hot
+    /// path highlighted. Edge weights read as fractions show which paths
+    /// are the common case and which the slow path — what a designer
+    /// splits an application between fast and slow path by (§V-C).
+    pub fn to_dot(&self, title: &str) -> String {
+        let hot: std::collections::HashSet<(usize, usize)> =
+            self.hot_path().windows(2).map(|w| (w[0], w[1])).collect();
+        let mut out = String::new();
+        let _ = writeln!(out, "digraph \"{title}\" {{");
+        let _ = writeln!(out, "  rankdir=TB; node [shape=box];");
+        for (b, &w) in self.entries.iter().enumerate() {
+            if w > 0 {
+                let _ = writeln!(out, "  b{b} [label=\"B{b}\\n{w}x\"];");
+            }
+        }
+        for (&(from, to), &w) in &self.edges {
+            let style = if hot.contains(&(from as usize, to as usize)) {
+                " color=red penwidth=2"
+            } else {
+                ""
+            };
+            let _ = writeln!(out, "  b{from} -> b{to} [label=\"{w}\"{style}];");
+        }
+        let _ = writeln!(out, "}}");
+        out
     }
 
     /// Renders the hottest block-to-successor edges as a fixed-width

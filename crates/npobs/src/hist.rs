@@ -7,6 +7,9 @@
 //! per power of two up to `u64::MAX`), O(1) insertion, exact min/max/mean
 //! tracking, and lossless additive merging across engine workers.
 
+use npsim::bblock::BlockMap;
+use npsim::RunStats;
+
 /// Number of buckets: value 0, plus one bucket per power of two
 /// (`[2^(k-1), 2^k)` for bucket `k` in `1..=64`).
 pub const BUCKETS: usize = 65;
@@ -150,6 +153,18 @@ impl PacketHists {
         self.packet_mem.record(packet_mem);
         self.non_packet_mem.record(non_packet_mem);
         self.blocks.record(blocks);
+    }
+
+    /// Records one packet from its run statistics: instructions, memory
+    /// accesses by region, and the blocks whose leaders `stats` covers
+    /// (so the run must record coverage, `npsim::Coverage`).
+    pub fn record_run(&mut self, stats: &RunStats, blocks: &BlockMap) {
+        self.record(
+            stats.instret,
+            stats.mem.packet_total(),
+            stats.mem.non_packet_total(),
+            blocks.blocks_executed(&stats.executed).count() as u64,
+        );
     }
 
     /// Packets recorded.

@@ -18,11 +18,11 @@
 //!   text-format serializers;
 //! * [`timeline`] — an in-flight telemetry sampler: per-lane bounded
 //!   rings of timestamped counter snapshots plus stage-span tracing,
-//!   exported as stamped JSON/CSV time series or a Perfetto-loadable
+//!   exported as a stamped JSON time series or a Perfetto-loadable
 //!   Chrome trace. A logical clock keyed on global packet order makes
 //!   `--deterministic` timelines byte-identical at any thread count;
 //! * [`status`] — the shared rate-limited stderr line writer that keeps
-//!   progress, memoization, and `--watch` output from interleaving;
+//!   progress and memoization output from interleaving;
 //! * [`stamp`] — schema version, git commit, and ISO-8601 timestamps so
 //!   metrics and timeline artifacts are traceable across commits.
 //!

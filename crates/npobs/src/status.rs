@@ -1,8 +1,8 @@
 //! A shared, rate-limited status-line writer for stderr.
 //!
 //! Several parts of a run want to talk on stderr while workers are busy:
-//! the engine's periodic `--progress` line, the flow-memoization summary,
-//! and the `--watch` live timeline refresh. Each used to call
+//! the engine's periodic `--progress` refresh and the flow-memoization
+//! summary. Each used to call
 //! `eprintln!` on its own, which takes the stderr lock per *fragment* —
 //! two threads printing at once could interleave mid-line. [`StatusLine`]
 //! fixes both problems at once:

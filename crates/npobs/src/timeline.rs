@@ -19,11 +19,10 @@
 //!   trace order* via [`LogicalSeries`], so the merged series is a pure
 //!   function of the trace — byte-identical at any thread count and chunk
 //!   size, which is what lets CI keep golden timeline fixtures.
-//! * three exports: stamped JSON ([`Timeline::to_json`]), stamped CSV
-//!   ([`Timeline::to_csv`]), and a Chrome trace-event JSON
-//!   ([`Timeline::to_chrome_trace`]) that Perfetto and `chrome://tracing`
-//!   load directly — spans become `X` slices per lane, samples become `C`
-//!   counter tracks.
+//! * two exports: stamped JSON ([`Timeline::to_json`]) and a Chrome
+//!   trace-event JSON ([`Timeline::to_chrome_trace`]) that Perfetto and
+//!   `chrome://tracing` load directly — spans become `X` slices per lane,
+//!   samples become `C` counter tracks.
 //!
 //! Like every exporter in this crate the serializers are hand-rolled and
 //! byte-stable: equal timelines serialize to identical bytes.
@@ -34,7 +33,7 @@ use std::time::Instant;
 
 use crate::stamp::Stamp;
 
-/// Version of the timeline-document JSON/CSV layout.
+/// Version of the timeline-document JSON layout.
 ///
 /// v2 added `ring_dropped` to every sample (live-ingestion drops).
 pub const TIMELINE_SCHEMA_VERSION: u32 = 2;
@@ -625,58 +624,6 @@ impl Timeline {
         out
     }
 
-    /// Serializes the sample series as CSV, with the stamp and span
-    /// summary as `#`-prefixed header comments.
-    pub fn to_csv(&self, stamp: &Stamp, app: &str, trace: &str) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "# schema_version={} git_commit={} timestamp={}",
-            stamp.schema_version, stamp.git_commit, stamp.timestamp
-        );
-        let _ = writeln!(
-            out,
-            "# app={app} trace={trace} clock={} interval={} workers={} \
-             dropped_samples={} spans={} dropped_spans={}",
-            if self.deterministic {
-                "logical"
-            } else {
-                "wall"
-            },
-            self.interval,
-            self.workers,
-            self.dropped_samples,
-            self.spans.len(),
-            self.dropped_spans
-        );
-        out.push_str(
-            "t,lane,packets,instructions,mem_packet,mem_non_packet,queue_depth,\
-             busy_ns,backpressure_ns,memo_hits,memo_misses,memo_evictions,block_bailouts,\
-             ring_dropped\n",
-        );
-        for s in &self.samples {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                s.t,
-                s.lane,
-                s.packets,
-                s.instructions,
-                s.mem_packet,
-                s.mem_non_packet,
-                s.queue_depth,
-                s.busy_ns,
-                s.backpressure_ns,
-                s.memo_hits,
-                s.memo_misses,
-                s.memo_evictions,
-                s.block_bailouts,
-                s.ring_dropped
-            );
-        }
-        out
-    }
-
     /// Serializes the timeline in Chrome trace-event format — loadable by
     /// Perfetto (<https://ui.perfetto.dev>) and `chrome://tracing`.
     ///
@@ -979,7 +926,7 @@ mod tests {
     }
 
     #[test]
-    fn json_and_csv_are_stable_and_balanced() {
+    fn json_is_stable_and_balanced() {
         let mut series = LogicalSeries::new(spec(4, 64));
         for i in 0..10u64 {
             series.record(i, &one_packet(5));
@@ -992,11 +939,7 @@ mod tests {
         assert!(json.contains("\"interval\": 4"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-        let csv = t.to_csv(&stamp, "radix", "mra");
-        assert!(csv.starts_with("# schema_version=2"));
         assert!(json.contains("\"ring_dropped\": 0"));
-        // Header comment lines + column header + one row per sample.
-        assert_eq!(csv.lines().count(), 3 + t.samples.len());
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! times along the same few block chains.
 //!
 //! This module chains hot superblocks into JIT-style **traces**. A trace
-//! is a sequence of member blocks whose control flow was observed to be
-//! strongly biased during a warm-up phase: every member's terminator
-//! becomes a *guard* — fall-through and static jumps pass
-//! unconditionally, conditional branches are predicted in their biased
-//! direction — and a complete trip through the trace applies **one**
+//! is a sequence of member blocks along the control flow observed during
+//! a warm-up phase: every member's terminator becomes a *guard* —
+//! fall-through and static jumps pass unconditionally, conditional
+//! branches are predicted in their majority direction — and a complete
+//! trip through the trace applies **one**
 //! fused instruction-count delta instead of one per member. A
 //! mispredicted guard exits the trace mid-trip, retiring the
 //! already-executed prefix in one delta too, and hands control back to
@@ -24,8 +24,8 @@
 //! retires and per-branch direction frequencies for the first
 //! [`TraceParams::warmup_runs`] runs, then greedily grows one trace per
 //! hot head block (descending warm-up heat, block id breaking ties) by
-//! following fall-throughs, static jumps, and strongly-biased branch
-//! directions. After formation the warm-up counters are dead and the
+//! following fall-throughs, static jumps, and each branch's majority
+//! direction. After formation the warm-up counters are dead and the
 //! steady-state cost of the trace layer is one `trace_of` load per chain
 //! dispatch.
 
@@ -42,17 +42,13 @@ pub struct TraceParams {
     /// Minimum warm-up retire count for a block to head a trace.
     pub hot_min: u64,
     /// Minimum sample count in the predicted direction before a branch
-    /// may be chained through.
+    /// may be chained through. Past it, every observed branch chains its
+    /// majority direction (taken on a tie): a mispredicted guard retires
+    /// its prefix with exactly the per-block bookkeeping the block path
+    /// would have paid anyway, so predicting even a 50/50 branch loses
+    /// nothing on the wrong side and saves the block-boundary dispatch
+    /// on the right side.
     pub min_edge: u64,
-    /// Direction-bias ratio: the predicted direction's count must be at
-    /// least `bias` times the other direction's count. The default is 1
-    /// (chain the majority direction of *every* observed branch): a
-    /// mispredicted guard retires its prefix with exactly the per-block
-    /// bookkeeping the block path would have paid anyway, so predicting
-    /// even a 50/50 branch loses nothing on the wrong side and saves the
-    /// block-boundary dispatch on the right side. Raising this only
-    /// shortens chains.
-    pub bias: u64,
     /// Loop-unroll bias ratio. A chain that closes a cycle back to its
     /// head stops there when any chained branch was *weak* (its chosen
     /// direction observed fewer than `unroll_bias` times the other
@@ -76,7 +72,6 @@ impl Default for TraceParams {
             warmup_runs: 32,
             hot_min: 128,
             min_edge: 16,
-            bias: 1,
             unroll_bias: 8,
             max_blocks: 128,
             max_insts: 2048,
@@ -94,7 +89,6 @@ impl TraceParams {
             warmup_runs: 1,
             hot_min: 1,
             min_edge: 1,
-            bias: 1,
             unroll_bias: 1,
             max_blocks: 8,
             max_insts: 256,
@@ -265,7 +259,7 @@ impl TraceState {
     }
 
     /// Greedily grows a guarded chain from `head`, following
-    /// fall-throughs, static in-text jumps, and strongly-biased branch
+    /// fall-throughs, static in-text jumps, and majority branch
     /// directions until a cap or an unchainable terminator stops it.
     fn build_chain(&self, head: usize, table: &BlockTable, text_base: u32) -> Option<TraceEntry> {
         let p = &self.params;
@@ -369,7 +363,7 @@ impl TraceState {
                 let p = &self.params;
                 let t = self.taken[b];
                 let nt = self.not_taken[b];
-                if t >= p.min_edge && t >= nt.saturating_mul(p.bias) && taken_block != u32::MAX {
+                if t >= p.min_edge && t >= nt && taken_block != u32::MAX {
                     Some((
                         Guard::Branch {
                             op,
@@ -382,10 +376,7 @@ impl TraceState {
                         taken_block,
                         t >= nt.saturating_mul(p.unroll_bias),
                     ))
-                } else if nt >= p.min_edge
-                    && nt >= t.saturating_mul(p.bias)
-                    && entry.next_block != u32::MAX
-                {
+                } else if nt >= p.min_edge && nt >= t && entry.next_block != u32::MAX {
                     Some((
                         Guard::Branch {
                             op,

@@ -339,30 +339,23 @@ fn misspelled_options_are_usage_errors_naming_the_option() {
             &["profile", "radix", "MRA", "-n", "10", "--bogus", "1"],
             "--bogus",
         ),
+        // `--progress` is the one status flag.
+        (
+            &["stream", "trie", "synth:mra:packets=10", "--watch"],
+            "--watch",
+        ),
     ] {
         assert_usage_error(args, &format!("{} does not take {option}", args[0]));
     }
 }
 
 #[test]
-fn profile_and_report_take_no_memo_option() {
+fn profile_takes_no_memo_option() {
     // A memo hit skips simulation, so the heat observer would never see
     // it; the profiler always simulates every packet.
     assert_usage_error(
         &["profile", "radix", "MRA", "-n", "10", "--memo", "on"],
         "profile does not take --memo",
-    );
-    assert_usage_error(
-        &[
-            "report",
-            "--app",
-            "radix",
-            "--metrics",
-            "json",
-            "--memo",
-            "on",
-        ],
-        "report does not take --memo",
     );
 }
 

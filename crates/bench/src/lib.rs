@@ -1,17 +1,19 @@
 //! The table/figure regeneration behind the `report` binary.
 
 use std::collections::BTreeMap;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use nettrace::synth::{SyntheticTrace, TraceProfile};
 use nettrace::Packet;
+use npsim::bblock::BlockMap;
 use packetbench::analysis::{
     memory_sequence, DelayModel, InstructionPattern, PipelinePartition, TraceAnalysis,
 };
 use packetbench::apps::{App, AppId};
-use packetbench::engine::Engine;
-use packetbench::framework::{Detail, PacketBench};
+use packetbench::engine::{Engine, EngineRun};
+use packetbench::framework::Detail;
 use packetbench::profile::{run_profile, ProfileResult, ProfileSpec};
 use packetbench::{report, WorkloadConfig};
 
@@ -67,28 +69,30 @@ impl Counts {
     }
 }
 
-/// Builds an initialized framework for one application.
-fn bench_for(id: AppId, config: &WorkloadConfig) -> PacketBench {
-    let app = App::build(id, config).expect("application assembles");
-    PacketBench::with_config(app, config).expect("framework initializes")
-}
-
-/// Runs `packets` of `profile` through `id` serially and returns the
-/// accumulated analysis.
-fn analyze(
+/// Runs the first `packets` of `profile` through `id` on `threads`
+/// workers (0 = available parallelism) and returns the trace and the
+/// engine's trace-ordered run.
+fn run_trace(
     id: AppId,
     profile: TraceProfile,
     packets: usize,
     detail: Detail,
     config: &WorkloadConfig,
-) -> TraceAnalysis {
-    analyze_threaded(id, profile, packets, detail, config, 1)
+    threads: usize,
+) -> (Vec<Packet>, EngineRun) {
+    let trace: Vec<Packet> = SyntheticTrace::new(profile, TRACE_SEED).take_packets(packets);
+    count_processed(trace.len());
+    let run = Engine::with_config(id, *config)
+        .run(&trace, detail, threads)
+        .expect("trace runs");
+    (trace, run)
 }
 
-/// Like `analyze`, on `threads` workers (0 = available parallelism).
-/// Aggregate statistics are identical at every thread count; the serial
-/// path streams records through one reused scratch buffer.
-pub fn analyze_threaded(
+/// Runs `packets` of `profile` through `id` on `threads` workers and
+/// returns the accumulated analysis. Counts-detail statistics are
+/// identical at every thread count; memory traces and cache statistics
+/// depend on each worker's memory layout, so those runs take one thread.
+fn analyze(
     id: AppId,
     profile: TraceProfile,
     packets: usize,
@@ -96,22 +100,9 @@ pub fn analyze_threaded(
     config: &WorkloadConfig,
     threads: usize,
 ) -> TraceAnalysis {
-    let trace: Vec<Packet> = SyntheticTrace::new(profile, TRACE_SEED).take_packets(packets);
-    count_processed(trace.len());
-    if threads == 1 {
-        let mut bench = bench_for(id, config);
-        let block_map = bench.block_map().clone();
-        let mut analysis = TraceAnalysis::new(bench.app().image().program(), &block_map);
-        bench
-            .run_trace_ref(&trace, detail, |_, r| analysis.add(&block_map, r))
-            .expect("trace runs");
-        return analysis;
-    }
-    let run = Engine::with_config(id, *config)
-        .run(&trace, detail, threads)
-        .expect("trace runs");
+    let (_, run) = run_trace(id, profile, packets, detail, config, threads);
     let app = App::build(id, config).expect("application assembles");
-    let block_map = npsim::bblock::BlockMap::build(app.image().program());
+    let block_map = BlockMap::build(app.image().program());
     let mut analysis = TraceAnalysis::new(app.image().program(), &block_map);
     for record in &run.records {
         analysis.add(&block_map, record);
@@ -139,39 +130,82 @@ fn profile_mra(
     run_profile(&spec).expect("trace runs")
 }
 
-/// Entry point of the `report` binary: parses `std::env::args` and prints
-/// the requested exhibits.
-pub fn report_main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let counts = if quick {
-        Counts::quick()
-    } else {
-        Counts::paper()
+/// Every exhibit the binary prints, space-separated in print order.
+const EXHIBITS: &str = "table1 table2 table3 table4 table5 table6 fig3 fig4 fig5 fig6 fig7 \
+                        fig8 fig9 flowgraph partition delay ppa uarch";
+
+const USAGE: &str = "usage: report [--quick] [--threads <n>] [all|table1|table2|table3|table4|
+              table5|table6|fig3|fig4|fig5|fig6|fig7|fig8|fig9|flowgraph|
+              partition|delay|ppa|uarch]...
+
+No exhibit (or `all`) prints every one. --quick shrinks the packet counts;
+--threads <n> spreads the runs over n workers (0, the default, uses every
+core); --help prints this text.";
+
+/// What one `report` command line asks for.
+struct Options {
+    counts: Counts,
+    threads: usize,
+    wanted: Vec<String>,
+}
+
+/// Parses the command line; `Ok(None)` for `--help`. Anything the usage
+/// does not name is an error naming the argument.
+fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
+    let mut options = Options {
+        counts: Counts::paper(),
+        threads: 0,
+        wanted: Vec::new(),
     };
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--threads takes a number"))
-        .unwrap_or(0);
-    let threads = if threads == 0 {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--help" => return Ok(None),
+            "--quick" => options.counts = Counts::quick(),
+            "--threads" => {
+                let value = args.next().ok_or("--threads needs a value")?;
+                options.threads = value
+                    .parse()
+                    .map_err(|_| format!("bad --threads value `{value}`"))?;
+            }
+            name if name == "all" || EXHIBITS.split_whitespace().any(|e| e == name) => {
+                options.wanted.push(name.to_string())
+            }
+            flag if flag.starts_with('-') => return Err(format!("report does not take {flag}")),
+            other => return Err(format!("unknown exhibit `{other}`")),
+        }
+    }
+    Ok(Some(options))
+}
+
+/// Entry point of the `report` binary: parses `std::env::args` and prints
+/// the requested exhibits. A bad command line exits 2 with the usage on
+/// stderr.
+pub fn report_main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let options = match parse_args(&args) {
+        Ok(Some(options)) => options,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(message) => {
+            eprintln!("report: {message}");
+            eprintln!();
+            eprintln!("{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    let threads = if options.threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
-        threads
+        options.threads
     };
-    let wanted: Vec<&str> = args
-        .iter()
-        .enumerate()
-        .filter(|&(i, a)| {
-            !a.starts_with("--") && args.get(i.wrapping_sub(1)).is_none_or(|p| p != "--threads")
-        })
-        .map(|(_, a)| a.as_str())
-        .collect();
-    let want = |name: &str| wanted.is_empty() || wanted.iter().any(|w| *w == name || *w == "all");
+    let wanted = &options.wanted;
+    let want = |name: &str| wanted.is_empty() || wanted.iter().any(|w| w == name || w == "all");
     take_packets_processed();
     let start = Instant::now();
-    render_report_threaded(&counts, want, threads);
+    render_report_threaded(&options.counts, want, threads);
     let elapsed = start.elapsed().as_secs_f64();
     let packets = take_packets_processed();
     println!(
@@ -182,12 +216,7 @@ pub fn report_main() {
             0.0
         }
     );
-}
-
-/// Renders every exhibit `want` selects, with the given packet counts,
-/// serially.
-pub fn render_report(counts: &Counts, want: impl Fn(&str) -> bool) {
-    render_report_threaded(counts, want, 1);
+    ExitCode::SUCCESS
 }
 
 /// Renders every exhibit `want` selects, spreading the heavy table passes
@@ -208,7 +237,7 @@ pub fn render_report_threaded(counts: &Counts, want: impl Fn(&str) -> bool, thre
         let mut cells3 = [[report::MemCell::default(); 4]; 4];
         for (a, id) in AppId::ALL.into_iter().enumerate() {
             for (t, profile) in traces.iter().enumerate() {
-                let analysis = analyze_threaded(
+                let analysis = analyze(
                     id,
                     *profile,
                     counts.tables23,
@@ -238,6 +267,7 @@ pub fn render_report_threaded(counts: &Counts, want: impl Fn(&str) -> bool, thre
                 counts.table4,
                 Detail::with_mem_trace(),
                 &config,
+                1,
             );
             rows.push((
                 id,
@@ -252,7 +282,7 @@ pub fn render_report_threaded(counts: &Counts, want: impl Fn(&str) -> bool, thre
         let mut rows5 = Vec::new();
         let mut rows6 = Vec::new();
         for id in AppId::ALL {
-            let analysis = analyze_threaded(
+            let analysis = analyze(
                 id,
                 TraceProfile::cos(),
                 counts.tables56,
@@ -293,6 +323,7 @@ pub fn render_report_threaded(counts: &Counts, want: impl Fn(&str) -> bool, thre
                 counts.figures,
                 Detail::counts(),
                 &config,
+                threads,
             );
             if want("fig3") {
                 println!(
@@ -345,15 +376,12 @@ pub fn render_report_threaded(counts: &Counts, want: impl Fn(&str) -> bool, thre
     // Figures 6 and 9: one-packet deep dives.
     if want("fig6") || want("fig9") {
         for id in figure_apps {
-            let mut bench = bench_for(id, &config);
-            let mut trace = SyntheticTrace::new(TraceProfile::mra(), TRACE_SEED);
-            let packet = trace.next_packet();
-            let record = bench
-                .process_packet(&packet, Detail::full())
-                .expect("packet runs");
+            let (_, run) = run_trace(id, TraceProfile::mra(), 1, Detail::full(), &config, 1);
+            let record = &run.records[0];
             if want("fig6") {
+                let app = App::build(id, &config).expect("application assembles");
                 let pattern = InstructionPattern::from_pc_trace(
-                    bench.app().image().program(),
+                    app.image().program(),
                     &record.stats.pc_trace,
                 );
                 println!(
@@ -369,7 +397,7 @@ pub fn render_report_threaded(counts: &Counts, want: impl Fn(&str) -> bool, thre
                     "{}",
                     report::render_memory_sequence(
                         &format!("Fig 9 ({}): data memory access pattern", id.name()),
-                        &memory_sequence(&record),
+                        &memory_sequence(record),
                     )
                 );
             }
@@ -432,6 +460,7 @@ pub fn render_report_threaded(counts: &Counts, want: impl Fn(&str) -> bool, thre
                 counts.figures,
                 Detail::counts(),
                 &config,
+                threads,
             );
             println!(
                 "{:<22} {:>14.0} {:>18.1} {:>18.1}",
@@ -448,14 +477,18 @@ pub fn render_report_threaded(counts: &Counts, want: impl Fn(&str) -> bool, thre
     // mentions alongside its header-processing workloads (section IV) —
     // cost scales with packet size, unlike every HPA.
     if want("ppa") {
-        let mut bench = bench_for(AppId::IpsecEnc, &config);
+        let packets = counts.tables23.min(2000);
+        let (trace, run) = run_trace(
+            AppId::IpsecEnc,
+            TraceProfile::mra(),
+            packets,
+            Detail::counts(),
+            &config,
+            threads,
+        );
         let mut by_size: BTreeMap<u16, (u64, u64)> = BTreeMap::new();
-        let mut trace = SyntheticTrace::new(TraceProfile::mra(), TRACE_SEED);
-        for _ in 0..counts.tables23.min(2000) {
-            let p = trace.next_packet();
-            let captured = p.l3().len() as u16;
-            let r = bench.process_packet(&p, Detail::counts()).expect("runs");
-            let e = by_size.entry(captured).or_insert((0, 0));
+        for (p, r) in trace.iter().zip(&run.records) {
+            let e = by_size.entry(p.l3().len() as u16).or_insert((0, 0));
             e.0 += r.stats.instret;
             e.1 += 1;
         }
@@ -480,33 +513,24 @@ pub fn render_report_threaded(counts: &Counts, want: impl Fn(&str) -> bool, thre
             "Application", "branches", "mispredict%", "icache hit%", "dcache hit%", "CPI"
         );
         for id in AppId::ALL {
-            let mut bench = bench_for(id, &config);
-            let trace =
-                SyntheticTrace::new(TraceProfile::mra(), TRACE_SEED).take_packets(counts.figures);
-            count_processed(trace.len());
+            let uarch = Detail {
+                uarch: true,
+                ..Detail::counts()
+            };
+            let (_, run) = run_trace(id, TraceProfile::mra(), counts.figures, uarch, &config, 1);
             let mut acc: BTreeMap<&str, f64> = BTreeMap::new();
-            let mut n = 0u64;
-            bench
-                .run_trace_ref(
-                    &trace,
-                    Detail {
-                        uarch: true,
-                        ..Detail::counts()
-                    },
-                    |_, r| {
-                        let u = r.stats.uarch.expect("uarch enabled");
-                        *acc.entry("branches").or_default() += u.branches as f64;
-                        *acc.entry("miss").or_default() += u.mispredictions as f64;
-                        *acc.entry("ia").or_default() += u.icache_accesses as f64;
-                        *acc.entry("im").or_default() += u.icache_misses as f64;
-                        *acc.entry("da").or_default() += u.dcache_accesses as f64;
-                        *acc.entry("dm").or_default() += u.dcache_misses as f64;
-                        *acc.entry("cy").or_default() += u.cycles as f64;
-                        *acc.entry("in").or_default() += r.stats.instret as f64;
-                        n += 1;
-                    },
-                )
-                .expect("trace runs");
+            let n = run.records.len();
+            for r in &run.records {
+                let u = r.stats.uarch.expect("uarch enabled");
+                *acc.entry("branches").or_default() += u.branches as f64;
+                *acc.entry("miss").or_default() += u.mispredictions as f64;
+                *acc.entry("ia").or_default() += u.icache_accesses as f64;
+                *acc.entry("im").or_default() += u.icache_misses as f64;
+                *acc.entry("da").or_default() += u.dcache_accesses as f64;
+                *acc.entry("dm").or_default() += u.dcache_misses as f64;
+                *acc.entry("cy").or_default() += u.cycles as f64;
+                *acc.entry("in").or_default() += r.stats.instret as f64;
+            }
             let pct = |num: f64, den: f64| if den == 0.0 { 0.0 } else { 100.0 * num / den };
             println!(
                 "{:<22} {:>10.0} {:>11.2}% {:>11.2}% {:>11.2}% {:>8.2}",

@@ -18,7 +18,7 @@ use npsim::{Memory, MemoryMap};
 
 use crate::config::WorkloadConfig;
 use crate::error::BenchError;
-use crate::framework::{PacketRecord, Verdict};
+use crate::framework::{sys, MemoRefusal, PacketRecord, Verdict};
 
 pub mod xtea;
 
@@ -102,7 +102,7 @@ impl AppId {
     ///
     /// This is only a *declaration* — eligibility is still proven
     /// statically by `npsim::analyze_writes` over the assembled program
-    /// (see `PacketBench::set_memo`), so a wrong `Some` here cannot make
+    /// (see [`App::memo_key_len`]), so a wrong `Some` here cannot make
     /// an unsafe application memoizable. TSA declares a key, for example,
     /// but is vetoed by the write analysis because it appends to its
     /// in-memory record table through a pointer loaded from memory.
@@ -263,6 +263,29 @@ impl App {
     /// between packets — the boundary the memoization write-guard enforces.
     pub fn struct_base(&self) -> u32 {
         self.image.data_base() + STRUCT_OFFSET
+    }
+
+    /// The memo key length if the application may be memoized, or why
+    /// not. It must declare a key ([`AppId::memo_key_len`]) and pass the
+    /// static write-region guard: `npsim::analyze_writes` must prove
+    /// every store targets the packet buffer, the stack, or the `.data`
+    /// scratch below [`App::struct_base`], and the program must not call
+    /// the side-effectful `write_packet_to_file`. Annotations are never
+    /// trusted over the analysis.
+    ///
+    /// # Errors
+    ///
+    /// The first test the application fails.
+    pub fn memo_key_len(&self) -> Result<usize, MemoRefusal> {
+        let key_len = self.id.memo_key_len().ok_or(MemoRefusal::NoKey)?;
+        let analysis = npsim::analyze_writes(self.image.program(), &self.map, self.struct_base());
+        if let Some(violation) = analysis.violations.into_iter().next() {
+            return Err(MemoRefusal::UnsafeStore(violation));
+        }
+        if analysis.sys_codes.contains(&sys::WRITE) {
+            return Err(MemoRefusal::WritesPackets);
+        }
+        Ok(key_len)
     }
 
     /// The paper's `init()`: loads the `.data` section, writes the

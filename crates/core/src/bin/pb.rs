@@ -36,12 +36,13 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Duration;
 
 use nettrace::pcap::{PcapReader, PcapWriter};
 use nettrace::synth::TraceProfile;
 use nettrace::{Limited, PacketSource};
 use npobs::timeline::{Timeline, TimelineSpec, TIMELINE_SCHEMA_VERSION};
-use npobs::{Stamp, StatusLine};
+use npobs::{MetricsDoc, Stamp, StatusLine};
 use npring::RateSpec;
 use npstream::SourceSpec;
 use packetbench::apps::{App, AppId};
@@ -50,7 +51,7 @@ use packetbench::framework::{Detail, MemoMode};
 use packetbench::live::{LiveConfig, OnFull};
 use packetbench::profile::{run_profile, ProfileSpec};
 use packetbench::stream::StreamConfig;
-use packetbench::{report, WorkloadConfig};
+use packetbench::{report, WorkerMetrics, WorkloadConfig};
 
 /// CLI failures, split by exit code: usage errors print the usage text to
 /// stderr and exit 2; runtime errors print one line and exit 1.
@@ -253,7 +254,11 @@ deterministic zero-drop replay. The stderr line
 `produced == dropped + retired` exactly, and with zero drops the stdout
 report is byte-identical to `pb run` over the same source at any
 --threads. --metrics-out exports the stamped metrics document with the
-ring section (drop counters, occupancy and burst-size histograms).
+ring section (drop counters, occupancy and burst-size histograms);
+--deterministic pins it as it pins `pb profile`'s: stamp, run time,
+worker busy/idle time and the occupancy and burst-size histograms, which
+vary with thread timing, are cleared, and every counter stays, so under
+`--on-full wait` two runs write the same bytes.
 
 `pb profile` runs the zero-cost instrumentation layer: per-packet log2
 histograms (instructions, packet vs. non-packet memory, basic blocks)
@@ -275,18 +280,18 @@ budget declines) ride in the exported metrics document (`pb_trace_*`)
 and on the --progress line; profiled runs stay block-granular so heat
 maps are unchanged.
 
-In-flight telemetry (run and stream): --timeline-out samples per-lane
-counters (packets, pps, queue depth, backpressure wait, busy time, memo
-traffic, superblock bail-outs) into a stamped JSON time series;
---trace-out writes the same run as a Chrome trace-event file with one
-named track per pipeline lane (workers, reader, merger) — load it in
-ui.perfetto.dev or chrome://tracing. --timeline-interval sets the
-sample spacing in packets. --progress refreshes a packets/pps status
-line on stderr about once a second, in place on a terminal. With
---deterministic, samples are keyed on logical time (packets retired in
-trace order) instead of the wall clock, so the timeline is
-byte-identical at any thread count. Runs without these flags carry
-zero telemetry cost.
+In-flight telemetry (run, stream and live): --timeline-out samples
+per-lane counters (packets, pps, queue depth, backpressure wait, busy
+time, memo traffic, superblock bail-outs) into a stamped JSON time
+series; --trace-out writes the same run as a Chrome trace-event file
+with one named track per pipeline lane (workers, reader or producer,
+merger) — load it in ui.perfetto.dev or chrome://tracing.
+--timeline-interval sets the sample spacing in packets. --progress
+refreshes a packets/pps status line on stderr about once a second, in
+place on a terminal. With --deterministic, samples are keyed on logical
+time (packets retired in trace order) instead of the wall clock, so the
+timeline is byte-identical at any thread count. Runs without these
+flags carry zero telemetry cost.
 
 `--memo on` enables per-worker flow memoization: results for repeated
 flows are answered from a cache keyed on the header bytes the
@@ -376,28 +381,38 @@ fn memo_from(args: &Args) -> Result<MemoMode, CliError> {
 /// so default runs are unchanged. Routed through the run's shared
 /// [`StatusLine`] so it cannot interleave with an in-flight `--progress`
 /// line.
-fn report_memo(memo: MemoMode, workers: &[packetbench::WorkerMetrics], status: &StatusLine) {
+fn report_memo(
+    memo: MemoMode,
+    id: AppId,
+    workers: &[WorkerMetrics],
+    status: &StatusLine,
+) -> Result<(), CliError> {
     if memo == MemoMode::Off {
-        return;
+        return Ok(());
     }
-    if let Some(why) = packetbench::memo_refusal(workers) {
-        status.emit(&format!("memo:                   inactive ({why})"));
-        return;
-    }
-    let hits: u64 = workers.iter().map(|w| w.memo_hits).sum();
-    let misses: u64 = workers.iter().map(|w| w.memo_misses).sum();
-    let evictions: u64 = workers.iter().map(|w| w.memo_evictions).sum();
+    let sum = |counter: fn(&WorkerMetrics) -> u64| workers.iter().map(counter).sum::<u64>();
+    let (hits, misses) = (sum(|w| w.memo_hits), sum(|w| w.memo_misses));
     let total = hits + misses;
-    if total == 0 {
-        // The cache was built but never consulted: it serves only
-        // counts-only runs, and `--uarch` asks for more.
-        status.emit("memo:                   inactive (--uarch runs are never memoized)");
-        return;
-    }
-    status.emit(&format!(
-        "memo:                   {hits} hits / {misses} misses ({:.1}% hit rate, {evictions} evictions)",
-        hits as f64 / total as f64 * 100.0
-    ));
+    let line = if total > 0 {
+        format!(
+            "{hits} hits / {misses} misses ({:.1}% hit rate, {} evictions)",
+            hits as f64 / total as f64 * 100.0,
+            sum(|w| w.memo_evictions)
+        )
+    } else if sum(|w| w.packets) == 0 {
+        "inactive (no packets)".to_string()
+    } else {
+        // Packets ran but none consulted a cache: the application was
+        // refused, or the cache serves only counts-only runs and
+        // `--uarch` asks for more.
+        let app = App::build(id, &WorkloadConfig::default()).map_err(|e| e.to_string())?;
+        match app.memo_key_len() {
+            Err(why) => format!("inactive ({why})"),
+            Ok(_) => "inactive (--uarch runs are never memoized)".to_string(),
+        }
+    };
+    status.emit(&format!("memo:                   {line}"));
+    Ok(())
 }
 
 /// The in-flight telemetry outputs requested on `pb run`/`pb stream`:
@@ -600,7 +615,7 @@ fn stream_and_report(
         Some(kb) => eprintln!("peak rss:               {kb} kB"),
         None => eprintln!("peak rss:               unavailable on this platform"),
     }
-    report_memo(memo, &run.workers, &status);
+    report_memo(memo, id, &run.workers, &status)?;
     write_timeline_outputs(&tl, run.timeline.as_ref(), id, label)?;
     Ok(())
 }
@@ -740,7 +755,7 @@ fn cmd_live(args: &Args) -> Result<(), CliError> {
         run.threads,
         run.elapsed.as_secs_f64() * 1e3,
         run.packets_per_sec(),
-        run.ring,
+        run.slots,
         run.burst,
         rate,
         run.loops
@@ -752,24 +767,38 @@ fn cmd_live(args: &Args) -> Result<(), CliError> {
     // `dropped + retired == produced` from it.
     eprintln!(
         "live: produced {} dropped {} retired {} (drop {:.2}%)",
-        run.produced,
-        run.dropped,
-        run.retired,
+        run.ring.produced,
+        run.ring.dropped,
+        run.ring.retired,
         run.drop_fraction() * 100.0
     );
-    report_memo(memo, &run.workers, &status);
+    report_memo(memo, id, &run.workers, &status)?;
     write_timeline_outputs(&tl, run.timeline.as_ref(), id, source_arg)?;
     if let Some(out) = metrics_out {
-        out.write(&live_metrics_doc(id, source_arg, &run))?;
+        let trace = json_safe_label(source_arg);
+        let doc = MetricsDoc::new(
+            id.slug(),
+            &trace,
+            run.elapsed,
+            Duration::ZERO,
+            run.hists,
+            run.workers,
+        );
+        out.write(MetricsDoc {
+            ring: Some(run.ring),
+            ..doc
+        })?;
     }
     Ok(())
 }
 
 /// `--metrics-out <file> [--metrics-format json|prom]` on `pb live` and
-/// `pb profile`: where to write the stamped metrics document, and how.
+/// `pb profile`: where to write the stamped metrics document, how, and
+/// whether `--deterministic` pins it.
 struct MetricsOut {
     path: String,
     format: &'static str,
+    deterministic: bool,
 }
 
 impl MetricsOut {
@@ -786,6 +815,7 @@ impl MetricsOut {
             Some(path) => Ok(Some(MetricsOut {
                 path: path.clone(),
                 format,
+                deterministic: args.flag("deterministic"),
             })),
             None if args.options.contains_key("metrics-format") => {
                 usage_err("--metrics-format needs --metrics-out")
@@ -794,7 +824,10 @@ impl MetricsOut {
         }
     }
 
-    fn write(&self, doc: &npobs::MetricsDoc) -> Result<(), CliError> {
+    fn write(&self, mut doc: MetricsDoc) -> Result<(), CliError> {
+        if self.deterministic {
+            doc.pin();
+        }
         let body = match self.format {
             "json" => doc.to_json(),
             _ => doc.to_prometheus(),
@@ -806,33 +839,6 @@ impl MetricsOut {
     }
 }
 
-/// The stamped metrics document for a live run: the shared worker stats
-/// plus the ring section (`pb profile` exports carry `"ring": null`).
-fn live_metrics_doc(id: AppId, source: &str, run: &packetbench::LiveRun) -> npobs::MetricsDoc {
-    npobs::MetricsDoc {
-        stamp: Stamp::new(npobs::stamp::METRICS_SCHEMA_VERSION),
-        app: id.slug().to_string(),
-        trace: json_safe_label(source),
-        packets: run.packets(),
-        threads: run.threads,
-        elapsed_ns: run.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
-        merge_ns: 0,
-        hists: run.hists.clone(),
-        workers: run
-            .workers
-            .iter()
-            .map(npobs::export::WorkerStat::from)
-            .collect(),
-        ring: Some(npobs::RingDoc {
-            produced: run.produced,
-            dropped: run.dropped,
-            retired: run.retired,
-            occupancy: run.occupancy.clone(),
-            bursts: run.bursts.clone(),
-        }),
-    }
-}
-
 fn cmd_profile(args: &Args) -> Result<(), CliError> {
     let [app_name, trace_name] = args.positional.as_slice() else {
         return usage_err("usage: pb profile <app> <trace>");
@@ -841,8 +847,7 @@ fn cmd_profile(args: &Args) -> Result<(), CliError> {
         return usage_err(format!("unknown application `{app_name}`"));
     };
     let metrics_out = MetricsOut::parse(args)?;
-    let deterministic = args.flag("deterministic");
-    if deterministic && metrics_out.is_none() {
+    if args.flag("deterministic") && metrics_out.is_none() {
         return usage_err("--deterministic needs --metrics-out");
     }
     let mut spec = ProfileSpec::new(id, trace_profile(trace_name)?);
@@ -853,7 +858,7 @@ fn cmd_profile(args: &Args) -> Result<(), CliError> {
     let result = run_profile(&spec).map_err(|e| e.to_string())?;
     print!("{}", result.render());
     if let Some(out) = metrics_out {
-        out.write(&result.metrics_doc(deterministic))?;
+        out.write(result.metrics_doc(false))?;
     }
     Ok(())
 }

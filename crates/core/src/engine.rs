@@ -33,7 +33,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nettrace::Packet;
-use npobs::export::WorkerStat;
 use npobs::timeline::{Timeline, TimelineSpec};
 use npobs::StatusLine;
 use npsim::{Coverage, NullObserver, Observer};
@@ -41,8 +40,12 @@ use npsim::{Coverage, NullObserver, Observer};
 use crate::apps::AppId;
 use crate::config::WorkloadConfig;
 use crate::error::BenchError;
-use crate::framework::{Detail, MemoMode, MemoRefusal, PacketRecord};
+use crate::framework::{Detail, MemoMode, PacketRecord};
 use crate::lane::{assemble_timeline, merge_lane, settle_idle, Failure, Lane, MonitorCounters};
+
+/// One engine worker's record of a run, as every driver returns it and
+/// the metrics document exports it.
+pub use npobs::WorkerMetrics;
 
 /// A parallel (or serial) runner for one application over a packet trace.
 #[derive(Debug, Clone)]
@@ -294,101 +297,6 @@ impl Engine {
     }
 }
 
-/// One engine worker's telemetry for a run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WorkerMetrics {
-    /// Worker index (0-based).
-    pub worker: usize,
-    /// Packets this worker processed.
-    pub packets: u64,
-    /// Nanoseconds the worker spent processing packets, from its first
-    /// bench build on: one clock pair per busy period (a batch shard, a
-    /// stream chunk or a live burst), never per packet.
-    pub busy_ns: u64,
-    /// Run wall-clock nanoseconds the worker was not in its packet loop
-    /// (waiting to start, finished early, or starved).
-    pub idle_ns: u64,
-    /// Packets assigned to this worker's shard.
-    pub queue_depth: u64,
-    /// Packets answered from this worker's flow-memoization cache
-    /// (simulation skipped entirely). Zero when memoization is off or
-    /// the application is not memoizable.
-    pub memo_hits: u64,
-    /// Packets that missed the memoization cache and ran the simulator
-    /// (each installs or refreshes an entry). Zero when memoization is
-    /// off.
-    pub memo_misses: u64,
-    /// Cache entries displaced by an install: the least recently used key
-    /// of a full 4-way set. Zero when memoization is off.
-    pub memo_evictions: u64,
-    /// Why this worker ran without its memo cache although memoization
-    /// was asked for: its bench's [`crate::PacketBench::memo_refusal`], or
-    /// [`MemoRefusal::NoPackets`] when it never built a bench. `None`
-    /// when memoization is off or the cache was active. Not exported;
-    /// [`memo_refusal`] folds it over a run's workers.
-    pub memo_refusal: Option<MemoRefusal>,
-    /// Times the superblock engine bailed out to the per-instruction
-    /// loop on this worker (mid-block entries and instruction-budget
-    /// tails). Zero on the full-detail paths, which never enter the
-    /// block engine.
-    pub block_bailouts: u64,
-    /// Hot traces formed by this worker's one-shot formation pass. Zero
-    /// until warm-up completes, and on paths that never enter the trace
-    /// engine (full-detail and profiled runs stay block-granular).
-    pub traces_formed: u64,
-    /// Complete trips through formed traces (one fused delta each).
-    pub trace_hits: u64,
-    /// Trips that fell off mid-trace on a mispredicted guard.
-    pub trace_guard_exits: u64,
-    /// Trace dispatches declined for instruction-budget risk (the block
-    /// path ran instead).
-    pub trace_declines: u64,
-    /// Packets dropped at this worker's ingestion ring because its pool
-    /// was exhausted. Always zero in batch and stream modes, which
-    /// apply backpressure instead of dropping (`pb live` only).
-    pub ring_dropped: u64,
-}
-
-/// The exported form of a worker's metrics: every counter, and the
-/// busy/idle timings, which a deterministic export zeroes. The memo
-/// refusal is not exported.
-impl From<&WorkerMetrics> for WorkerStat {
-    fn from(w: &WorkerMetrics) -> WorkerStat {
-        WorkerStat {
-            worker: w.worker,
-            packets: w.packets,
-            busy_ns: w.busy_ns,
-            idle_ns: w.idle_ns,
-            queue_depth: w.queue_depth,
-            memo_hits: w.memo_hits,
-            memo_misses: w.memo_misses,
-            memo_evictions: w.memo_evictions,
-            block_bailouts: w.block_bailouts,
-            traces_formed: w.traces_formed,
-            trace_hits: w.trace_hits,
-            trace_guard_exits: w.trace_guard_exits,
-            trace_declines: w.trace_declines,
-            ring_dropped: w.ring_dropped,
-        }
-    }
-}
-
-/// Why a run that asked for memoization ran without it, from its
-/// workers' metrics: `None` when some worker's cache was active (or
-/// memoization was off). Every worker that built a bench carries the
-/// application's refusal, so that one wins over
-/// [`MemoRefusal::NoPackets`], which is the answer only when no worker
-/// built a bench.
-pub fn memo_refusal(workers: &[WorkerMetrics]) -> Option<&MemoRefusal> {
-    if workers.iter().any(|w| w.memo_refusal.is_none()) {
-        return None;
-    }
-    let refusals = || workers.iter().filter_map(|w| w.memo_refusal.as_ref());
-    refusals()
-        .find(|r| **r != MemoRefusal::NoPackets)
-        .or_else(|| refusals().next())
-}
-
 /// The merged, trace-ordered result of an [`Engine::run`].
 #[derive(Debug, Clone)]
 pub struct EngineRun {
@@ -560,23 +468,6 @@ mod tests {
                 "threads={threads}: {err:?}"
             );
         }
-    }
-
-    #[test]
-    fn a_runs_memo_refusal_is_the_applications_unless_a_cache_ran() {
-        let worker = |refusal: Option<MemoRefusal>| WorkerMetrics {
-            memo_refusal: refusal,
-            ..WorkerMetrics::default()
-        };
-        let store = MemoRefusal::UnsafeStore("store".into());
-        let idle = worker(Some(MemoRefusal::NoPackets));
-        // Workers given no packets defer to one that built a bench.
-        let run = [idle.clone(), worker(Some(store.clone())), idle.clone()];
-        assert_eq!(memo_refusal(&run), Some(&store));
-        let run = [idle.clone(), idle.clone()];
-        assert_eq!(memo_refusal(&run), Some(&MemoRefusal::NoPackets));
-        // One active cache (or memo off) means the run was not refused.
-        assert_eq!(memo_refusal(&[idle, worker(None)]), None);
     }
 
     #[test]

@@ -120,9 +120,10 @@ impl MemoMode {
     }
 }
 
-/// Why [`PacketBench::set_memo`] left memoization off although a mode
-/// other than [`MemoMode::Off`] was asked for. Printed as the reason on
-/// the CLI's memo line.
+/// Why an application may not be memoized ([`App::memo_key_len`]), so
+/// [`PacketBench::set_memo`] left memoization off although a mode other
+/// than [`MemoMode::Off`] was asked for. Printed as the reason on the
+/// CLI's memo line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MemoRefusal {
     /// The application declares no memo key ([`crate::AppId::memo_key_len`]).
@@ -133,9 +134,6 @@ pub enum MemoRefusal {
     UnsafeStore(String),
     /// The program calls the side-effectful `write_packet_to_file`.
     WritesPackets,
-    /// A worker that never built a bench (it was given no packets), so
-    /// nothing was decided.
-    NoPackets,
 }
 
 impl fmt::Display for MemoRefusal {
@@ -144,7 +142,6 @@ impl fmt::Display for MemoRefusal {
             MemoRefusal::NoKey => f.write_str("the application declares no memo key"),
             MemoRefusal::UnsafeStore(violation) => write!(f, "write guard: {violation}"),
             MemoRefusal::WritesPackets => f.write_str("the application calls write_packet_to_file"),
-            MemoRefusal::NoPackets => f.write_str("no packets"),
         }
     }
 }
@@ -374,22 +371,17 @@ impl PacketBench {
     /// Enables (or disables) per-flow memoization of the counts-only path.
     ///
     /// A mode other than [`MemoMode::Off`] only takes effect when the
-    /// application both declares a memo key
-    /// ([`crate::AppId::memo_key_len`]) and passes the static
-    /// write-region guard: `npsim::analyze_writes` must
-    /// prove every store targets the packet buffer, the stack, or the
-    /// `.data` scratch below [`App::struct_base`], and the program must
-    /// not call the side-effectful `write_packet_to_file`. Applications
-    /// failing either test bypass the cache — annotations are never
-    /// trusted over the analysis — and [`PacketBench::memo_refusal`] says
-    /// why.
+    /// application may be memoized ([`App::memo_key_len`]: it declares a
+    /// memo key and passes the static write-region guard). Applications
+    /// failing either test bypass the cache, and
+    /// [`PacketBench::memo_refusal`] says why.
     pub fn set_memo(&mut self, mode: MemoMode) {
         self.memo = None;
         self.memo_refusal = None;
         if mode == MemoMode::Off {
             return;
         }
-        match self.memo_key_len() {
+        match self.app.memo_key_len() {
             Ok(key_len) => {
                 self.memo = Some(MemoLayer {
                     mode,
@@ -400,24 +392,6 @@ impl PacketBench {
             }
             Err(refusal) => self.memo_refusal = Some(refusal),
         }
-    }
-
-    /// The memo key length of the application if it may be memoized, or
-    /// why not.
-    fn memo_key_len(&self) -> Result<usize, MemoRefusal> {
-        let key_len = self.app.id().memo_key_len().ok_or(MemoRefusal::NoKey)?;
-        let analysis = npsim::analyze_writes(
-            self.app.image().program(),
-            &self.map,
-            self.app.struct_base(),
-        );
-        if let Some(violation) = analysis.violations.into_iter().next() {
-            return Err(MemoRefusal::UnsafeStore(violation));
-        }
-        if analysis.sys_codes.contains(&sys::WRITE) {
-            return Err(MemoRefusal::WritesPackets);
-        }
-        Ok(key_len)
     }
 
     /// Why the last [`PacketBench::set_memo`] left memoization off
@@ -756,32 +730,6 @@ impl PacketBench {
         for (i, packet) in packets.into_iter().enumerate() {
             let record = self.process_packet(&packet, detail)?;
             visit(i as u64, record);
-        }
-        Ok(())
-    }
-
-    /// Runs borrowed `packets` through the application, calling `visit`
-    /// with each record. Unlike [`PacketBench::run_trace`] this neither
-    /// consumes the packets nor allocates a fresh record per packet — one
-    /// scratch [`PacketRecord`] is reused for the whole trace.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first failing packet.
-    pub fn run_trace_ref<'a, I, F>(
-        &mut self,
-        packets: I,
-        detail: Detail,
-        mut visit: F,
-    ) -> Result<(), BenchError>
-    where
-        I: IntoIterator<Item = &'a Packet>,
-        F: FnMut(u64, &PacketRecord),
-    {
-        let mut record = PacketRecord::empty();
-        for (i, packet) in packets.into_iter().enumerate() {
-            self.process_packet_into(packet, detail, &mut record)?;
-            visit(i as u64, &record);
         }
         Ok(())
     }

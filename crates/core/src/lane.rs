@@ -34,7 +34,7 @@ use npsim::{MemoCounters, NullObserver, Observer, TraceStats};
 use crate::apps::App;
 use crate::engine::{Engine, WorkerMetrics};
 use crate::error::BenchError;
-use crate::framework::{Detail, MemoMode, MemoRefusal, PacketBench, PacketRecord};
+use crate::framework::{Detail, PacketBench, PacketRecord};
 
 /// How often the status line is refreshed.
 const PROGRESS_INTERVAL: Duration = Duration::from_millis(1000);
@@ -509,10 +509,6 @@ impl<'e, O: Observer> Lane<'e, O> {
             memo_hits: memo.hits,
             memo_misses: memo.misses,
             memo_evictions: memo.evictions,
-            memo_refusal: match bench {
-                Some(bench) => bench.memo_refusal().cloned(),
-                None => (self.engine.memo != MemoMode::Off).then_some(MemoRefusal::NoPackets),
-            },
             block_bailouts: bench.map_or(0, PacketBench::block_bailouts),
             traces_formed: trace.formed,
             trace_hits: trace.hits,
@@ -528,6 +524,7 @@ impl<'e, O: Observer> Lane<'e, O> {
 mod tests {
     use super::*;
     use crate::apps::AppId;
+    use crate::framework::MemoMode;
     use crate::live::{LiveConfig, OnFull};
     use crate::stream::StreamConfig;
     use nettrace::synth::{SyntheticTrace, TraceProfile};

@@ -58,7 +58,7 @@ pub mod stream;
 
 pub use apps::{App, AppId};
 pub use config::WorkloadConfig;
-pub use engine::{memo_refusal, Engine, EngineRun, WorkerMetrics};
+pub use engine::{Engine, EngineRun, WorkerMetrics};
 pub use error::BenchError;
 pub use framework::{Detail, MemoMode, MemoRefusal, PacketBench, PacketRecord, Verdict};
 pub use live::{LiveConfig, LiveRun, OnFull};

@@ -48,14 +48,15 @@
 //! Timing telemetry (occupancy and burst-size histograms, per-lane drop
 //! counts) is kept out of the deterministic surfaces: `--deterministic`
 //! timelines sample logical per-packet deltas keyed on the global index
-//! and exclude `ring_dropped` entirely.
+//! and exclude `ring_dropped` entirely, and a pinned metrics document
+//! ([`npobs::MetricsDoc::pin`]) empties both histograms.
 
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use nettrace::{Limited, Packet, PacketSource, Timestamp};
 use npobs::timeline::{Sample, Stage, Timeline};
-use npobs::{Log2Histogram, PacketHists};
+use npobs::{Log2Histogram, PacketHists, RingDoc};
 use npring::{lane, LaneConsumer, Pacer, RateSpec, RingStats, MAX_BURST};
 use npsim::{Coverage, NullObserver, Observer};
 use npstream::SourceSpec;
@@ -180,23 +181,17 @@ pub struct LiveRun {
     /// Worker threads (= lanes) actually used.
     pub threads: usize,
     /// Pool slots per lane actually used.
-    pub ring: usize,
+    pub slots: usize,
     /// Burst cap actually used.
     pub burst: usize,
     /// Times the source was replayed.
     pub loops: u64,
-    /// Packets the producer offered across all lanes and loops.
-    pub produced: u64,
-    /// Packets dropped at ingestion because a lane's pool was exhausted.
-    pub dropped: u64,
-    /// Packets dequeued, simulated, and recycled by workers. On every
-    /// successful run `produced == dropped + retired` exactly.
-    pub retired: u64,
-    /// Ring occupancy observed before each dequeue burst, per worker,
-    /// merged (log2 buckets).
-    pub occupancy: Log2Histogram,
-    /// Dequeue burst sizes, merged (log2 buckets).
-    pub bursts: Log2Histogram,
+    /// The rings' accounting across all lanes and loops, as the metrics
+    /// document exports it: packets offered, dropped and retired (on
+    /// every successful run `produced == dropped + retired` exactly),
+    /// the occupancy observed before each dequeue burst and the burst
+    /// sizes, merged over workers.
+    pub ring: RingDoc,
     /// Wall-clock time of the run.
     pub elapsed: Duration,
     /// The in-flight telemetry timeline (worker lanes plus the producer
@@ -223,10 +218,10 @@ impl LiveRun {
 
     /// Fraction of offered packets dropped at ingestion.
     pub fn drop_fraction(&self) -> f64 {
-        if self.produced == 0 {
+        if self.ring.produced == 0 {
             0.0
         } else {
-            self.dropped as f64 / self.produced as f64
+            self.ring.dropped as f64 / self.ring.produced as f64
         }
     }
 }
@@ -276,11 +271,11 @@ impl Engine {
         start: Instant,
         monitor: Option<&MonitorCounters>,
     ) -> Result<LiveRun, BenchError> {
-        let (threads, ring, burst, loops) = config.resolve();
+        let (threads, slots, burst, loops) = config.resolve();
 
         let mut producers = Vec::with_capacity(threads);
         let mut consumers = Vec::with_capacity(threads);
-        for npring::Lane { producer, consumer } in (0..threads).map(|_| lane(ring)) {
+        for npring::Lane { producer, consumer } in (0..threads).map(|_| lane(slots)) {
             producers.push(producer);
             consumers.push(consumer);
         }
@@ -438,13 +433,17 @@ impl Engine {
 
         let mut aggregate = StreamAggregate::new();
         let mut hists = PacketHists::new();
-        let mut occupancy = Log2Histogram::new();
-        let mut bursts = Log2Histogram::new();
+        let mut ring = RingDoc {
+            produced,
+            dropped,
+            retired,
+            ..RingDoc::default()
+        };
         for fold in &folds {
             aggregate.merge(&fold.aggregate);
             hists.merge(&fold.hists);
-            occupancy.merge(&fold.occupancy);
-            bursts.merge(&fold.bursts);
+            ring.occupancy.merge(&fold.occupancy);
+            ring.bursts.merge(&fold.bursts);
         }
 
         let timeline = assemble_timeline(self.timeline, threads, lanes);
@@ -454,14 +453,10 @@ impl Engine {
             hists,
             workers,
             threads,
-            ring,
+            slots,
             burst,
             loops,
-            produced,
-            dropped,
-            retired,
-            occupancy,
-            bursts,
+            ring,
             elapsed: start.elapsed(),
             timeline,
         })
@@ -594,9 +589,9 @@ mod tests {
                 let run = engine
                     .run_live(&spec, Detail::counts(), wait_config(threads))
                     .unwrap();
-                assert_eq!(run.dropped, 0, "{id:?} threads={threads}");
-                assert_eq!(run.retired, 200, "{id:?} threads={threads}");
-                assert_eq!(run.produced, 200, "{id:?} threads={threads}");
+                assert_eq!(run.ring.dropped, 0, "{id:?} threads={threads}");
+                assert_eq!(run.ring.retired, 200, "{id:?} threads={threads}");
+                assert_eq!(run.ring.produced, 200, "{id:?} threads={threads}");
                 assert_eq!(run.aggregate, want, "{id:?} threads={threads}");
                 assert_eq!(
                     run.workers.iter().map(|w| w.packets).sum::<u64>(),
@@ -624,14 +619,14 @@ mod tests {
                 },
             )
             .unwrap();
-        assert_eq!(run.produced, 4000);
-        assert_eq!(run.produced, run.dropped + run.retired);
-        assert!(run.dropped > 0, "one-slot pools must overflow");
+        assert_eq!(run.ring.produced, 4000);
+        assert_eq!(run.ring.produced, run.ring.dropped + run.ring.retired);
+        assert!(run.ring.dropped > 0, "one-slot pools must overflow");
         // Only retired packets were simulated and aggregated.
-        assert_eq!(run.aggregate.packets(), run.retired);
+        assert_eq!(run.aggregate.packets(), run.ring.retired);
         let worker_drops: u64 = run.workers.iter().map(|w| w.ring_dropped).sum();
-        assert_eq!(worker_drops, run.dropped);
-        assert!(run.bursts.count() >= 1);
+        assert_eq!(worker_drops, run.ring.dropped);
+        assert!(run.ring.bursts.count() >= 1);
     }
 
     #[test]
@@ -647,9 +642,9 @@ mod tests {
                 },
             )
             .unwrap();
-        assert_eq!(run.produced, 150);
-        assert_eq!(run.dropped, 0);
-        assert_eq!(run.retired, 150);
+        assert_eq!(run.ring.produced, 150);
+        assert_eq!(run.ring.dropped, 0);
+        assert_eq!(run.ring.retired, 150);
         assert_eq!(run.aggregate.packets(), 150);
         assert_eq!(run.loops, 3);
     }
@@ -668,7 +663,7 @@ mod tests {
                 },
             )
             .unwrap();
-        assert_eq!(run.retired, 70);
+        assert_eq!(run.ring.retired, 70);
         assert_eq!(run.aggregate.packets(), 70);
     }
 
@@ -685,7 +680,7 @@ mod tests {
                 },
             )
             .unwrap();
-        assert_eq!(run.retired, 500);
+        assert_eq!(run.ring.retired, 500);
         // 500 packets at 200k pps is at least 2.5ms of schedule.
         assert!(run.elapsed >= Duration::from_millis(2));
     }

@@ -14,13 +14,12 @@
 //! trace-ordered records, and the rendering contains no timing, thread
 //! count, or timestamp. CI diffs it against a golden fixture. The
 //! exported [`npobs::MetricsDoc`] *does* carry threads and timing; the
-//! `deterministic` flag zeroes the volatile fields for fixture diffs.
+//! `deterministic` flag pins it ([`npobs::MetricsDoc::pin`]) for fixture
+//! diffs.
 
 use nettrace::synth::{SyntheticTrace, TraceProfile};
 use nettrace::Packet;
-use npobs::export::WorkerStat;
-use npobs::stamp::METRICS_SCHEMA_VERSION;
-use npobs::{BlockHeat, HeatObserver, MetricsDoc, PacketHists, Stamp};
+use npobs::{BlockHeat, HeatObserver, MetricsDoc, PacketHists};
 use npsim::bblock::BlockMap;
 
 use crate::apps::{App, AppId};
@@ -170,53 +169,23 @@ impl ProfileResult {
         out
     }
 
-    /// Builds the exportable metrics document. With `deterministic`, the
-    /// stamp is pinned and every wall-clock field (run, merge, per-worker
-    /// busy/idle) is zeroed so CI can byte-diff the export; packet,
-    /// queue-depth, and memoization counts stay real (they are pure
-    /// functions of the trace and sharding).
+    /// Builds the exportable metrics document. With `deterministic` it is
+    /// pinned ([`MetricsDoc::pin`]) so CI can byte-diff the export;
+    /// packet, queue-depth, and memoization counts stay real (they are
+    /// pure functions of the trace and sharding).
     pub fn metrics_doc(&self, deterministic: bool) -> MetricsDoc {
-        let stamp = if deterministic {
-            Stamp::deterministic(METRICS_SCHEMA_VERSION)
-        } else {
-            Stamp::new(METRICS_SCHEMA_VERSION)
-        };
-        MetricsDoc {
-            stamp,
-            app: self.app.slug().to_string(),
-            trace: self.trace_name.clone(),
-            packets: self.hists.packets(),
-            threads: self.run.threads,
-            elapsed_ns: if deterministic {
-                0
-            } else {
-                self.run.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64
-            },
-            merge_ns: if deterministic {
-                0
-            } else {
-                self.run.merge.as_nanos().min(u128::from(u64::MAX)) as u64
-            },
-            hists: self.hists.clone(),
-            workers: self
-                .run
-                .workers
-                .iter()
-                .map(|w| {
-                    // Every counter is a pure function of the trace and
-                    // sharding; only timings vary.
-                    let mut stat = WorkerStat::from(w);
-                    if deterministic {
-                        stat.busy_ns = 0;
-                        stat.idle_ns = 0;
-                    }
-                    stat
-                })
-                .collect(),
-            // Batch profiling has no ingestion ring; `pb live` builds
-            // its own MetricsDoc with the ring section filled.
-            ring: None,
+        let mut doc = MetricsDoc::new(
+            self.app.slug(),
+            &self.trace_name,
+            self.run.elapsed,
+            self.run.merge,
+            self.hists.clone(),
+            self.run.workers.clone(),
+        );
+        if deterministic {
+            doc.pin();
         }
+        doc
     }
 }
 

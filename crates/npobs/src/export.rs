@@ -1,57 +1,183 @@
 //! Metrics exporters: hand-rolled JSON and Prometheus text format.
 //!
-//! A [`MetricsDoc`] bundles one profiling run — per-packet histograms,
-//! per-worker engine telemetry, run timing — behind a [`Stamp`]. The
-//! serializers are deliberately dependency-free (the workspace carries no
-//! external crates): field order is fixed, maps are emitted in stable
-//! order, and floats are printed through one helper, so two documents
-//! with equal contents serialize to identical bytes. That byte-stability
-//! is what lets CI diff exports against golden fixtures.
+//! A [`MetricsDoc`] bundles one run — per-packet histograms, one
+//! [`WorkerMetrics`] row per engine worker, run timing and, for `pb live`,
+//! the ingestion ring's [`RingDoc`] — behind a [`Stamp`]. The rows are
+//! the records the drivers return, so what a run counted and what the
+//! document exports are one struct, and both serializers walk one ordered
+//! table of per-worker series (`WORKER_SERIES`): a new per-worker
+//! counter is one field and one table row. [`MetricsDoc::pin`] is the one
+//! place that knows which fields vary with timing.
+//!
+//! The serializers are deliberately dependency-free (the workspace
+//! carries no external crates): field order is fixed, maps are emitted in
+//! stable order, and floats are printed through one helper, so two
+//! documents with equal contents serialize to identical bytes. That
+//! byte-stability is what lets CI diff exports against golden fixtures.
 
 use crate::hist::{Log2Histogram, PacketHists};
-use crate::stamp::Stamp;
+use crate::stamp::{Stamp, METRICS_SCHEMA_VERSION};
 use std::fmt::Write as _;
+use std::time::Duration;
 
-/// One engine worker's telemetry for a run.
+/// One engine worker's record of a run, built by every driver's worker
+/// at run end and exported as one row of the metrics document.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WorkerStat {
+pub struct WorkerMetrics {
     /// Worker index (0-based).
     pub worker: usize,
     /// Packets this worker processed.
     pub packets: u64,
-    /// Nanoseconds spent executing packets.
+    /// Nanoseconds the worker spent processing packets, from its first
+    /// bench build on: one clock pair per busy period (a batch shard, a
+    /// stream chunk or a live burst), never per packet.
     pub busy_ns: u64,
-    /// Nanoseconds of the run wall-clock this worker was not executing.
+    /// Run wall-clock nanoseconds the worker was not in its packet loop
+    /// (waiting to start, finished early, or starved).
     pub idle_ns: u64,
-    /// Packets that were queued to this worker's shard.
+    /// Packets assigned to this worker's shard (in `pb live`, offered to
+    /// its lane).
     pub queue_depth: u64,
-    /// Packets answered from the worker's flow-memoization cache
-    /// (simulation skipped). Zero when memoization is off.
+    /// Packets answered from this worker's flow-memoization cache
+    /// (simulation skipped entirely). Zero when memoization is off or
+    /// the application is not memoizable.
     pub memo_hits: u64,
-    /// Packets that missed the memoization cache and were simulated.
-    /// Zero when memoization is off.
+    /// Packets that missed the memoization cache and ran the simulator
+    /// (each installs or refreshes an entry). Zero when memoization is
+    /// off.
     pub memo_misses: u64,
-    /// Memoization cache entries displaced by a colliding key. Zero when
-    /// memoization is off.
+    /// Cache entries displaced by an install: the least recently used key
+    /// of a full 4-way set. Zero when memoization is off.
     pub memo_evictions: u64,
-    /// Superblock executions that bailed back to single-step execution
-    /// (early exit mid-block). Zero when block-level dispatch is off or
-    /// every packet was answered from the memoization cache.
+    /// Times the superblock engine bailed out to the per-instruction
+    /// loop on this worker (mid-block entries and instruction-budget
+    /// tails). Zero on the full-detail paths, which never enter the
+    /// block engine.
     pub block_bailouts: u64,
-    /// Hot traces formed by the worker's one-shot formation pass. Zero
-    /// until warm-up completes and on paths without the trace layer.
+    /// Hot traces formed by this worker's one-shot formation pass. Zero
+    /// until warm-up completes, and on paths that never enter the trace
+    /// engine (full-detail and profiled runs stay block-granular).
     pub traces_formed: u64,
     /// Complete trips through formed traces (one fused delta each).
     pub trace_hits: u64,
     /// Trips that fell off mid-trace on a mispredicted guard.
     pub trace_guard_exits: u64,
-    /// Trace dispatches declined for instruction-budget risk.
+    /// Trace dispatches declined for instruction-budget risk (the block
+    /// path ran instead).
     pub trace_declines: u64,
-    /// Packets dropped at this worker's live-ingestion ring because the
-    /// pool was exhausted. Zero outside `pb live` (batch and stream
-    /// modes apply backpressure instead of dropping).
+    /// Packets dropped at this worker's ingestion ring because its pool
+    /// was exhausted. Always zero in batch and stream modes, which
+    /// apply backpressure instead of dropping (`pb live` only).
     pub ring_dropped: u64,
 }
+
+/// How one per-worker value is exported: its JSON key (the field's
+/// name), its Prometheus series and HELP text, and the field it reads.
+/// A `ring` series is written in the Prometheus ring section (live runs
+/// only), after the ring totals, instead of with the other worker series.
+struct WorkerSeries {
+    key: &'static str,
+    metric: &'static str,
+    help: &'static str,
+    value: fn(&WorkerMetrics) -> u64,
+    ring: bool,
+}
+
+/// Every per-worker value after the worker index, in JSON key order; the
+/// Prometheus writer emits them in the same order.
+const WORKER_SERIES: [WorkerSeries; 13] = [
+    WorkerSeries {
+        key: "packets",
+        metric: "pb_worker_packets_total",
+        help: "Packets per engine worker.",
+        value: |w| w.packets,
+        ring: false,
+    },
+    WorkerSeries {
+        key: "busy_ns",
+        metric: "pb_worker_busy_ns",
+        help: "Busy time per engine worker.",
+        value: |w| w.busy_ns,
+        ring: false,
+    },
+    WorkerSeries {
+        key: "idle_ns",
+        metric: "pb_worker_idle_ns",
+        help: "Idle time per engine worker.",
+        value: |w| w.idle_ns,
+        ring: false,
+    },
+    WorkerSeries {
+        key: "queue_depth",
+        metric: "pb_worker_queue_depth",
+        help: "Packets queued to each worker's shard.",
+        value: |w| w.queue_depth,
+        ring: false,
+    },
+    WorkerSeries {
+        key: "memo_hits",
+        metric: "pb_worker_memo_hits_total",
+        help: "Packets answered from the worker's flow-memoization cache.",
+        value: |w| w.memo_hits,
+        ring: false,
+    },
+    WorkerSeries {
+        key: "memo_misses",
+        metric: "pb_worker_memo_misses_total",
+        help: "Packets that missed the memoization cache and were simulated.",
+        value: |w| w.memo_misses,
+        ring: false,
+    },
+    WorkerSeries {
+        key: "memo_evictions",
+        metric: "pb_worker_memo_evictions_total",
+        help: "Memoization cache entries displaced by a colliding key.",
+        value: |w| w.memo_evictions,
+        ring: false,
+    },
+    WorkerSeries {
+        key: "block_bailouts",
+        metric: "pb_worker_block_bailouts_total",
+        help: "Superblock executions that bailed back to single-step execution.",
+        value: |w| w.block_bailouts,
+        ring: false,
+    },
+    WorkerSeries {
+        key: "traces_formed",
+        metric: "pb_trace_formed_total",
+        help: "Hot traces formed by the one-shot formation pass.",
+        value: |w| w.traces_formed,
+        ring: false,
+    },
+    WorkerSeries {
+        key: "trace_hits",
+        metric: "pb_trace_hits_total",
+        help: "Complete trips through formed traces (one fused delta each).",
+        value: |w| w.trace_hits,
+        ring: false,
+    },
+    WorkerSeries {
+        key: "trace_guard_exits",
+        metric: "pb_trace_guard_exits_total",
+        help: "Trips that fell off mid-trace on a mispredicted guard.",
+        value: |w| w.trace_guard_exits,
+        ring: false,
+    },
+    WorkerSeries {
+        key: "trace_declines",
+        metric: "pb_trace_declines_total",
+        help: "Trace dispatches declined for instruction-budget risk.",
+        value: |w| w.trace_declines,
+        ring: false,
+    },
+    WorkerSeries {
+        key: "ring_dropped",
+        metric: "pb_worker_ring_dropped_total",
+        help: "Ring-ingestion drops per worker lane.",
+        value: |w| w.ring_dropped,
+        ring: true,
+    },
+];
 
 /// Live-ingestion ring telemetry for one `pb live` run: the exact
 /// offered/dropped/retired accounting plus occupancy and burst-size
@@ -72,27 +198,28 @@ pub struct RingDoc {
     pub bursts: Log2Histogram,
 }
 
-/// A complete, exportable metrics document for one profiling run.
+/// A complete, exportable metrics document for one run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsDoc {
     /// Provenance (schema version, commit, timestamp).
     pub stamp: Stamp,
     /// Application slug (`radix`, `trie`, ...).
     pub app: String,
-    /// Trace profile slug (`mra`, ...).
+    /// Trace profile slug (`mra`, ...) or source spec.
     pub trace: String,
-    /// Packets profiled.
+    /// Packets processed.
     pub packets: u64,
     /// Engine worker threads used.
     pub threads: usize,
-    /// Total wall-clock nanoseconds for the run (0 in deterministic mode).
+    /// Total wall-clock nanoseconds for the run (0 when pinned).
     pub elapsed_ns: u64,
-    /// Nanoseconds spent merging worker results (0 in deterministic mode).
+    /// Nanoseconds spent merging worker results (0 when pinned, and on
+    /// runs that fold per worker instead of merging records).
     pub merge_ns: u64,
     /// Per-packet distributions.
     pub hists: PacketHists,
-    /// Per-worker telemetry, ordered by worker index.
-    pub workers: Vec<WorkerStat>,
+    /// Per-worker rows, ordered by worker index.
+    pub workers: Vec<WorkerMetrics>,
     /// Live-ingestion ring telemetry (`pb live` runs only).
     pub ring: Option<RingDoc>,
 }
@@ -125,6 +252,11 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
+/// Whole nanoseconds of `d`, saturating at `u64::MAX`.
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
 fn json_hist(out: &mut String, indent: &str, name: &str, h: &Log2Histogram, last: bool) {
     let _ = write!(out, "{indent}\"{name}\": {{");
     let _ = write!(
@@ -150,7 +282,87 @@ fn json_hist(out: &mut String, indent: &str, name: &str, h: &Log2Histogram, last
     out.push('\n');
 }
 
+/// The HELP and TYPE lines that open a Prometheus counter or gauge. The
+/// type follows the name, as the exposition format's convention has it:
+/// a `_total` family is a counter, any other a gauge.
+fn prom_header(out: &mut String, metric: &str, help: &str) {
+    let kind = if metric.ends_with("_total") {
+        "counter"
+    } else {
+        "gauge"
+    };
+    let _ = writeln!(out, "# HELP {metric} {help}");
+    let _ = writeln!(out, "# TYPE {metric} {kind}");
+}
+
+/// One histogram family: cumulative `_bucket` series with an `le` upper
+/// bound, plus `_sum` and `_count`.
+fn prom_hist(out: &mut String, metric: &str, help: &str, labels: &str, h: &Log2Histogram) {
+    let _ = writeln!(out, "# HELP {metric} {help}");
+    let _ = writeln!(out, "# TYPE {metric} histogram");
+    let mut cum = 0u64;
+    for (_, _, hi, count) in h.iter_nonzero() {
+        cum += count;
+        let _ = writeln!(out, "{metric}_bucket{{{labels},le=\"{hi}\"}} {cum}");
+    }
+    let _ = writeln!(out, "{metric}_bucket{{{labels},le=\"+Inf\"}} {cum}");
+    let _ = writeln!(
+        out,
+        "{metric}_sum{{{labels}}} {}",
+        fmt_f64(h.mean() * h.count() as f64)
+    );
+    let _ = writeln!(out, "{metric}_count{{{labels}}} {}", h.count());
+}
+
 impl MetricsDoc {
+    /// A document for one run, stamped with the current commit and wall
+    /// clock. `packets` and `threads` are the workers' sum and count
+    /// (every driver returns one row per worker thread); the ring section
+    /// is absent until the caller sets it.
+    pub fn new(
+        app: &str,
+        trace: &str,
+        elapsed: Duration,
+        merge: Duration,
+        hists: PacketHists,
+        workers: Vec<WorkerMetrics>,
+    ) -> MetricsDoc {
+        MetricsDoc {
+            stamp: Stamp::new(METRICS_SCHEMA_VERSION),
+            app: app.to_string(),
+            trace: trace.to_string(),
+            packets: workers.iter().map(|w| w.packets).sum(),
+            threads: workers.len(),
+            elapsed_ns: nanos(elapsed),
+            merge_ns: nanos(merge),
+            hists,
+            workers,
+            ring: None,
+        }
+    }
+
+    /// Pins every field that varies with timing, so equal runs write
+    /// equal bytes (`--deterministic`): the stamp, the run and merge
+    /// times, each worker's busy and idle time, and the ring occupancy
+    /// and burst-size histograms, which depend on how producer and
+    /// workers interleave (they stay, empty). Every counter stays,
+    /// the ring totals included: they are functions of the input and
+    /// the sharding, except drops under `--on-full drop`, which vary
+    /// because they measure the interleaving.
+    pub fn pin(&mut self) {
+        self.stamp = Stamp::deterministic(self.stamp.schema_version);
+        self.elapsed_ns = 0;
+        self.merge_ns = 0;
+        for w in &mut self.workers {
+            w.busy_ns = 0;
+            w.idle_ns = 0;
+        }
+        if let Some(ring) = &mut self.ring {
+            ring.occupancy = Log2Histogram::new();
+            ring.bursts = Log2Histogram::new();
+        }
+    }
+
     /// Serializes the document as JSON. Stable field order, no external
     /// dependencies; equal documents produce identical bytes.
     pub fn to_json(&self) -> String {
@@ -171,33 +383,14 @@ impl MetricsDoc {
         out.push_str("  },\n");
         out.push_str("  \"workers\": [\n");
         for (i, w) in self.workers.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"worker\": {}, \"packets\": {}, \"busy_ns\": {}, \
-                 \"idle_ns\": {}, \"queue_depth\": {}, \"memo_hits\": {}, \
-                 \"memo_misses\": {}, \"memo_evictions\": {}, \
-                 \"block_bailouts\": {}, \"traces_formed\": {}, \
-                 \"trace_hits\": {}, \"trace_guard_exits\": {}, \
-                 \"trace_declines\": {}, \"ring_dropped\": {}}}",
-                w.worker,
-                w.packets,
-                w.busy_ns,
-                w.idle_ns,
-                w.queue_depth,
-                w.memo_hits,
-                w.memo_misses,
-                w.memo_evictions,
-                w.block_bailouts,
-                w.traces_formed,
-                w.trace_hits,
-                w.trace_guard_exits,
-                w.trace_declines,
-                w.ring_dropped
-            );
+            let _ = write!(out, "    {{\"worker\": {}", w.worker);
+            for s in &WORKER_SERIES {
+                let _ = write!(out, ", \"{}\": {}", s.key, (s.value)(w));
+            }
             out.push_str(if i + 1 == self.workers.len() {
-                "\n"
+                "}\n"
             } else {
-                ",\n"
+                "},\n"
             });
         }
         out.push_str("  ],\n");
@@ -227,242 +420,62 @@ impl MetricsDoc {
             escape_label(&self.trace)
         );
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "# HELP pb_build_info Build and schema provenance of this export."
-        );
-        let _ = writeln!(out, "# TYPE pb_build_info gauge");
+        let scalar = |out: &mut String, metric: &str, help: &str, value: u64| {
+            prom_header(out, metric, help);
+            let _ = writeln!(out, "{metric}{{{labels}}} {value}");
+        };
+        let workers = |out: &mut String, ring: bool| {
+            for s in WORKER_SERIES.iter().filter(|s| s.ring == ring) {
+                prom_header(out, s.metric, s.help);
+                for w in &self.workers {
+                    let (metric, worker, value) = (s.metric, w.worker, (s.value)(w));
+                    let _ = writeln!(out, "{metric}{{{labels},worker=\"{worker}\"}} {value}");
+                }
+            }
+        };
+        let help = "Build and schema provenance of this export.";
+        prom_header(&mut out, "pb_build_info", help);
         let _ = writeln!(
             out,
             "pb_build_info{{schema_version=\"{}\",git_commit=\"{}\"}} 1",
             self.stamp.schema_version, self.stamp.git_commit
         );
-        let _ = writeln!(out, "# HELP pb_packets_total Packets profiled.");
-        let _ = writeln!(out, "# TYPE pb_packets_total counter");
-        let _ = writeln!(out, "pb_packets_total{{{labels}}} {}", self.packets);
-        let _ = writeln!(out, "# HELP pb_run_elapsed_ns Run wall-clock time.");
-        let _ = writeln!(out, "# TYPE pb_run_elapsed_ns gauge");
-        let _ = writeln!(out, "pb_run_elapsed_ns{{{labels}}} {}", self.elapsed_ns);
-        let _ = writeln!(out, "# HELP pb_merge_ns Worker result merge time.");
-        let _ = writeln!(out, "# TYPE pb_merge_ns gauge");
-        let _ = writeln!(out, "pb_merge_ns{{{labels}}} {}", self.merge_ns);
+        scalar(
+            &mut out,
+            "pb_packets_total",
+            "Packets profiled.",
+            self.packets,
+        );
+        let help = "Run wall-clock time.";
+        scalar(&mut out, "pb_run_elapsed_ns", help, self.elapsed_ns);
+        scalar(
+            &mut out,
+            "pb_merge_ns",
+            "Worker result merge time.",
+            self.merge_ns,
+        );
         for (name, h) in self.hists.iter() {
             let metric = format!("pb_{name}");
-            let _ = writeln!(out, "# HELP {metric} Per-packet distribution.");
-            let _ = writeln!(out, "# TYPE {metric} histogram");
-            let mut cum = 0u64;
-            for (_, _, hi, count) in h.iter_nonzero() {
-                cum += count;
-                let _ = writeln!(out, "{metric}_bucket{{{labels},le=\"{hi}\"}} {cum}");
-            }
-            let _ = writeln!(out, "{metric}_bucket{{{labels},le=\"+Inf\"}} {cum}");
-            let _ = writeln!(
-                out,
-                "{metric}_sum{{{labels}}} {}",
-                fmt_f64(h.mean() * h.count() as f64)
-            );
-            let _ = writeln!(out, "{metric}_count{{{labels}}} {}", h.count());
+            prom_hist(&mut out, &metric, "Per-packet distribution.", &labels, h);
         }
-        let _ = writeln!(
-            out,
-            "# HELP pb_worker_packets_total Packets per engine worker."
-        );
-        let _ = writeln!(out, "# TYPE pb_worker_packets_total counter");
-        for w in &self.workers {
-            let _ = writeln!(
-                out,
-                "pb_worker_packets_total{{{labels},worker=\"{}\"}} {}",
-                w.worker, w.packets
-            );
-        }
-        let _ = writeln!(out, "# HELP pb_worker_busy_ns Busy time per engine worker.");
-        let _ = writeln!(out, "# TYPE pb_worker_busy_ns gauge");
-        for w in &self.workers {
-            let _ = writeln!(
-                out,
-                "pb_worker_busy_ns{{{labels},worker=\"{}\"}} {}",
-                w.worker, w.busy_ns
-            );
-        }
-        let _ = writeln!(out, "# HELP pb_worker_idle_ns Idle time per engine worker.");
-        let _ = writeln!(out, "# TYPE pb_worker_idle_ns gauge");
-        for w in &self.workers {
-            let _ = writeln!(
-                out,
-                "pb_worker_idle_ns{{{labels},worker=\"{}\"}} {}",
-                w.worker, w.idle_ns
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP pb_worker_queue_depth Packets queued to each worker's shard."
-        );
-        let _ = writeln!(out, "# TYPE pb_worker_queue_depth gauge");
-        for w in &self.workers {
-            let _ = writeln!(
-                out,
-                "pb_worker_queue_depth{{{labels},worker=\"{}\"}} {}",
-                w.worker, w.queue_depth
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP pb_worker_memo_hits_total Packets answered from the worker's \
-             flow-memoization cache."
-        );
-        let _ = writeln!(out, "# TYPE pb_worker_memo_hits_total counter");
-        for w in &self.workers {
-            let _ = writeln!(
-                out,
-                "pb_worker_memo_hits_total{{{labels},worker=\"{}\"}} {}",
-                w.worker, w.memo_hits
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP pb_worker_memo_misses_total Packets that missed the memoization \
-             cache and were simulated."
-        );
-        let _ = writeln!(out, "# TYPE pb_worker_memo_misses_total counter");
-        for w in &self.workers {
-            let _ = writeln!(
-                out,
-                "pb_worker_memo_misses_total{{{labels},worker=\"{}\"}} {}",
-                w.worker, w.memo_misses
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP pb_worker_memo_evictions_total Memoization cache entries displaced \
-             by a colliding key."
-        );
-        let _ = writeln!(out, "# TYPE pb_worker_memo_evictions_total counter");
-        for w in &self.workers {
-            let _ = writeln!(
-                out,
-                "pb_worker_memo_evictions_total{{{labels},worker=\"{}\"}} {}",
-                w.worker, w.memo_evictions
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP pb_worker_block_bailouts_total Superblock executions that bailed \
-             back to single-step execution."
-        );
-        let _ = writeln!(out, "# TYPE pb_worker_block_bailouts_total counter");
-        for w in &self.workers {
-            let _ = writeln!(
-                out,
-                "pb_worker_block_bailouts_total{{{labels},worker=\"{}\"}} {}",
-                w.worker, w.block_bailouts
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP pb_trace_formed_total Hot traces formed by the one-shot \
-             formation pass."
-        );
-        let _ = writeln!(out, "# TYPE pb_trace_formed_total counter");
-        for w in &self.workers {
-            let _ = writeln!(
-                out,
-                "pb_trace_formed_total{{{labels},worker=\"{}\"}} {}",
-                w.worker, w.traces_formed
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP pb_trace_hits_total Complete trips through formed traces \
-             (one fused delta each)."
-        );
-        let _ = writeln!(out, "# TYPE pb_trace_hits_total counter");
-        for w in &self.workers {
-            let _ = writeln!(
-                out,
-                "pb_trace_hits_total{{{labels},worker=\"{}\"}} {}",
-                w.worker, w.trace_hits
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP pb_trace_guard_exits_total Trips that fell off mid-trace \
-             on a mispredicted guard."
-        );
-        let _ = writeln!(out, "# TYPE pb_trace_guard_exits_total counter");
-        for w in &self.workers {
-            let _ = writeln!(
-                out,
-                "pb_trace_guard_exits_total{{{labels},worker=\"{}\"}} {}",
-                w.worker, w.trace_guard_exits
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP pb_trace_declines_total Trace dispatches declined for \
-             instruction-budget risk."
-        );
-        let _ = writeln!(out, "# TYPE pb_trace_declines_total counter");
-        for w in &self.workers {
-            let _ = writeln!(
-                out,
-                "pb_trace_declines_total{{{labels},worker=\"{}\"}} {}",
-                w.worker, w.trace_declines
-            );
-        }
+        workers(&mut out, false);
         if let Some(ring) = &self.ring {
-            let _ = writeln!(
-                out,
-                "# HELP pb_ring_produced_total Packets offered to the live-ingestion rings."
+            let help = "Packets offered to the live-ingestion rings.";
+            scalar(&mut out, "pb_ring_produced_total", help, ring.produced);
+            let help = "Packets dropped because a ring's pool was exhausted.";
+            scalar(&mut out, "pb_ring_dropped_total", help, ring.dropped);
+            let help = "Packets processed and recycled to the pool.";
+            scalar(&mut out, "pb_ring_retired_total", help, ring.retired);
+            workers(&mut out, true);
+            let help = "Distribution observed at each burst dequeue.";
+            prom_hist(
+                &mut out,
+                "pb_ring_occupancy",
+                help,
+                &labels,
+                &ring.occupancy,
             );
-            let _ = writeln!(out, "# TYPE pb_ring_produced_total counter");
-            let _ = writeln!(out, "pb_ring_produced_total{{{labels}}} {}", ring.produced);
-            let _ = writeln!(
-                out,
-                "# HELP pb_ring_dropped_total Packets dropped because a ring's pool was \
-                 exhausted."
-            );
-            let _ = writeln!(out, "# TYPE pb_ring_dropped_total counter");
-            let _ = writeln!(out, "pb_ring_dropped_total{{{labels}}} {}", ring.dropped);
-            let _ = writeln!(
-                out,
-                "# HELP pb_ring_retired_total Packets processed and recycled to the pool."
-            );
-            let _ = writeln!(out, "# TYPE pb_ring_retired_total counter");
-            let _ = writeln!(out, "pb_ring_retired_total{{{labels}}} {}", ring.retired);
-            let _ = writeln!(
-                out,
-                "# HELP pb_worker_ring_dropped_total Ring-ingestion drops per worker lane."
-            );
-            let _ = writeln!(out, "# TYPE pb_worker_ring_dropped_total counter");
-            for w in &self.workers {
-                let _ = writeln!(
-                    out,
-                    "pb_worker_ring_dropped_total{{{labels},worker=\"{}\"}} {}",
-                    w.worker, w.ring_dropped
-                );
-            }
-            for (name, h) in [
-                ("pb_ring_occupancy", &ring.occupancy),
-                ("pb_ring_burst_size", &ring.bursts),
-            ] {
-                let _ = writeln!(
-                    out,
-                    "# HELP {name} Distribution observed at each burst dequeue."
-                );
-                let _ = writeln!(out, "# TYPE {name} histogram");
-                let mut cum = 0u64;
-                for (_, _, hi, count) in h.iter_nonzero() {
-                    cum += count;
-                    let _ = writeln!(out, "{name}_bucket{{{labels},le=\"{hi}\"}} {cum}");
-                }
-                let _ = writeln!(out, "{name}_bucket{{{labels},le=\"+Inf\"}} {cum}");
-                let _ = writeln!(
-                    out,
-                    "{name}_sum{{{labels}}} {}",
-                    fmt_f64(h.mean() * h.count() as f64)
-                );
-                let _ = writeln!(out, "{name}_count{{{labels}}} {}", h.count());
-            }
+            prom_hist(&mut out, "pb_ring_burst_size", help, &labels, &ring.bursts);
         }
         out
     }
@@ -488,7 +501,7 @@ mod tests {
             merge_ns: 0,
             hists,
             workers: vec![
-                WorkerStat {
+                WorkerMetrics {
                     worker: 0,
                     packets: 2,
                     busy_ns: 0,
@@ -504,13 +517,13 @@ mod tests {
                     trace_declines: 1,
                     ring_dropped: 0,
                 },
-                WorkerStat {
+                WorkerMetrics {
                     worker: 1,
                     packets: 1,
                     busy_ns: 0,
                     idle_ns: 0,
                     queue_depth: 1,
-                    ..WorkerStat::default()
+                    ..WorkerMetrics::default()
                 },
             ],
             ring: None,
@@ -682,5 +695,83 @@ mod tests {
             .contains("pb_worker_ring_dropped_total{app=\"radix\",trace=\"mra\",worker=\"1\"} 7"));
         assert!(prom.contains("pb_ring_occupancy_bucket"));
         assert!(prom.contains("pb_ring_burst_size_count{app=\"radix\",trace=\"mra\"} 3"));
+    }
+
+    #[test]
+    fn pin_clears_timing_and_keeps_every_counter() {
+        let mut doc = sample_doc();
+        doc.stamp = Stamp::new(METRICS_SCHEMA_VERSION);
+        doc.elapsed_ns = 123;
+        doc.merge_ns = 45;
+        doc.workers[0].busy_ns = 6;
+        doc.workers[1].idle_ns = 7;
+        let mut occupancy = Log2Histogram::new();
+        occupancy.record(9);
+        doc.ring = Some(RingDoc {
+            produced: 3,
+            dropped: 0,
+            retired: 3,
+            occupancy: occupancy.clone(),
+            bursts: occupancy,
+        });
+        let mut want = sample_doc();
+        want.ring = Some(RingDoc {
+            produced: 3,
+            retired: 3,
+            ..RingDoc::default()
+        });
+        doc.pin();
+        assert_eq!(doc, want);
+        let json = doc.to_json();
+        assert!(json.contains("\"occupancy\": {\"count\": 0,"), "{json}");
+        assert!(json.contains("\"produced\": 3"), "{json}");
+    }
+
+    #[test]
+    fn every_worker_field_is_exported_under_its_name_in_order() {
+        let mut doc = sample_doc();
+        doc.workers = vec![WorkerMetrics {
+            worker: 0,
+            packets: 1,
+            busy_ns: 2,
+            idle_ns: 3,
+            queue_depth: 4,
+            memo_hits: 5,
+            memo_misses: 6,
+            memo_evictions: 7,
+            block_bailouts: 8,
+            traces_formed: 9,
+            trace_hits: 10,
+            trace_guard_exits: 11,
+            trace_declines: 12,
+            ring_dropped: 13,
+        }];
+        doc.ring = Some(RingDoc::default());
+        let json = doc.to_json();
+        assert!(
+            json.contains(
+                "{\"worker\": 0, \"packets\": 1, \"busy_ns\": 2, \"idle_ns\": 3, \
+                 \"queue_depth\": 4, \"memo_hits\": 5, \"memo_misses\": 6, \
+                 \"memo_evictions\": 7, \"block_bailouts\": 8, \"traces_formed\": 9, \
+                 \"trace_hits\": 10, \"trace_guard_exits\": 11, \"trace_declines\": 12, \
+                 \"ring_dropped\": 13}"
+            ),
+            "{json}"
+        );
+        let prom = doc.to_prometheus();
+        let worker_lines: Vec<&str> = prom
+            .lines()
+            .filter(|l| l.contains(",worker=\"0\"}"))
+            .collect();
+        let values: Vec<&str> = worker_lines
+            .iter()
+            .map(|l| l.rsplit(' ').next().unwrap())
+            .collect();
+        let want: Vec<String> = (1..=13).map(|v| v.to_string()).collect();
+        assert_eq!(values, want, "{prom}");
+        assert!(worker_lines[12].starts_with("pb_worker_ring_dropped_total{"));
+        assert!(prom.contains("# TYPE pb_worker_busy_ns gauge\n"));
+        assert!(prom.contains("# TYPE pb_worker_queue_depth gauge\n"));
+        assert!(prom.contains("# TYPE pb_trace_hits_total counter\n"));
     }
 }

@@ -14,8 +14,10 @@
 //!   entered and how many instructions retire inside it. [`BlockHeat`]
 //!   renders the result as a table or flamegraph-collapsed text keyed by
 //!   the same `L<n>` labels `pb disasm` shows;
-//! * [`export`] — a metrics document with JSON and Prometheus
-//!   text-format serializers;
+//! * [`export`] — the metrics document: one [`WorkerMetrics`] row per
+//!   engine worker (the record the drivers return), run timing and the
+//!   live ring's totals, with JSON and Prometheus text-format serializers
+//!   that walk one table of per-worker series;
 //! * [`timeline`] — an in-flight telemetry sampler: per-lane bounded
 //!   rings of timestamped counter snapshots plus stage-span tracing,
 //!   exported as a stamped JSON time series or a Perfetto-loadable
@@ -39,7 +41,7 @@ pub mod stamp;
 pub mod status;
 pub mod timeline;
 
-pub use export::{MetricsDoc, RingDoc};
+pub use export::{MetricsDoc, RingDoc, WorkerMetrics};
 pub use heat::{BlockHeat, HeatObserver};
 pub use hist::{Log2Histogram, PacketHists};
 pub use stamp::Stamp;

@@ -180,6 +180,63 @@ fn metrics_out_carries_the_ring_section() {
     std::fs::remove_file(&prom_path).ok();
 }
 
+#[test]
+fn deterministic_metrics_are_reproducible() {
+    // `--deterministic` pins what varies with timing: the stamp, the run
+    // time, each worker's busy and idle time and the ring histograms.
+    // Under `--on-full wait` every other field is a function of the
+    // source and the sharding, so two runs write the same bytes.
+    let dir = std::env::temp_dir().join(format!("pb_cli_live_pinned_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for format in ["json", "prom"] {
+        let runs: Vec<String> = (0..2)
+            .map(|i| {
+                let path = dir.join(format!("run{i}.{format}"));
+                let out = pb(&[
+                    "live",
+                    "trie",
+                    "synth:mra:seed=1:packets=200",
+                    "--on-full",
+                    "wait",
+                    "--threads",
+                    "2",
+                    "--deterministic",
+                    "--metrics-out",
+                    path.to_str().unwrap(),
+                    "--metrics-format",
+                    format,
+                ]);
+                assert!(out.status.success(), "{}", stderr(&out));
+                let body = std::fs::read_to_string(&path).unwrap();
+                std::fs::remove_file(&path).ok();
+                body
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1], "{format} differs between runs");
+        let needles: &[&str] = if format == "json" {
+            &[
+                "\"git_commit\": \"deterministic\"",
+                "\"elapsed_ns\": 0,",
+                "\"busy_ns\": 0, \"idle_ns\": 0,",
+                "\"produced\": 200,",
+                "\"occupancy\": {\"count\": 0, \"min\": 0, \"max\": 0, \"mean\": 0.0, \"buckets\": []},",
+                "\"bursts\": {\"count\": 0, \"min\": 0, \"max\": 0, \"mean\": 0.0, \"buckets\": []}",
+            ]
+        } else {
+            &[
+                "git_commit=\"deterministic\"",
+                "pb_run_elapsed_ns{app=\"trie\",trace=\"synth:mra:seed=1:packets=200\"} 0",
+                "pb_worker_busy_ns{app=\"trie\",trace=\"synth:mra:seed=1:packets=200\",worker=\"1\"} 0",
+                "pb_ring_produced_total{app=\"trie\",trace=\"synth:mra:seed=1:packets=200\"} 200",
+                "pb_ring_burst_size_count{app=\"trie\",trace=\"synth:mra:seed=1:packets=200\"} 0",
+            ]
+        };
+        for needle in needles {
+            assert!(runs[0].contains(needle), "missing {needle} in {}", runs[0]);
+        }
+    }
+}
+
 /// Asserts a usage failure: exit 2, empty stdout, the offending message
 /// plus the usage text on stderr.
 fn assert_usage_error(args: &[&str], needle: &str) {

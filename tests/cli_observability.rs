@@ -1,6 +1,6 @@
 //! End-to-end tests of the deterministic exports at the CLI: `pb profile`
 //! with `--metrics-out` prints and writes the golden fixtures byte for
-//! byte, and `pb run --deterministic --timeline-out` writes the golden
+//! byte (JSON and Prometheus text), and `pb run --deterministic --timeline-out` writes the golden
 //! timeline at any thread count. The library-level goldens
 //! (`profile_golden.rs`, `timeline_golden.rs`) pin the same files.
 
@@ -71,13 +71,17 @@ fn profile_writes_prometheus_text() {
     let path = scratch("metrics.prom");
     let path_s = path.to_str().unwrap();
     let args = ["--metrics-out", path_s, "--metrics-format", "prom"];
-    let out = pb(&[&PROFILE[..], &args].concat());
+    let out = pb(&[&PROFILE[..], &args, &["--deterministic"]].concat());
     assert!(out.status.success(), "{}", stderr(&out));
     let written = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).ok();
     assert!(
         written.contains("pb_packets_total{app=\"radix\",trace=\"MRA\"} 40"),
         "{written}"
+    );
+    assert!(
+        written == golden("metrics_radix_mra.prom"),
+        "--metrics-format prom drifted from tests/golden/metrics_radix_mra.prom:\n{written}"
     );
 }
 

@@ -229,12 +229,46 @@ fn memo_line_names_why_an_app_is_refused() {
             && line.ends_with("targets statically unresolvable memory)"),
         "{line:?}"
     );
+    // Workers given no packets do not hide the refusal.
+    let idle = pb(&[
+        "run",
+        "--app",
+        "tsa",
+        "--memo",
+        "on",
+        "-n",
+        "2",
+        "--threads",
+        "4",
+    ]);
+    assert!(idle.status.success(), "{}", stderr(&idle));
+    assert_eq!(memo_line(&idle), line);
     let flow = pb(&["stream", "flow", "synth:zipf:packets=50", "--memo", "check"]);
     assert!(flow.status.success(), "{}", stderr(&flow));
     let line = memo_line(&flow);
     assert!(
         line.ends_with("inactive (the application declares no memo key)"),
         "{line:?}"
+    );
+}
+
+#[test]
+fn memo_line_counts_lookups_or_names_uarch() {
+    // A memoizable application that consulted its cache reports the
+    // traffic; with `--uarch` it never consults it, and says why.
+    let hits = pb(&["run", "--app", "radix", "--memo", "on", "-n", "200"]);
+    assert!(hits.status.success(), "{}", stderr(&hits));
+    assert_eq!(
+        memo_line(&hits),
+        "memo:                   0 hits / 200 misses (0.0% hit rate, 0 evictions)"
+    );
+    let uarch = pb(&[
+        "run", "--app", "radix", "--memo", "on", "--uarch", "-n", "50",
+    ]);
+    assert!(uarch.status.success(), "{}", stderr(&uarch));
+    assert_eq!(
+        memo_line(&uarch),
+        "memo:                   inactive (--uarch runs are never memoized)"
     );
 }
 
